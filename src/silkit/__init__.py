@@ -8,12 +8,9 @@ from .clustering import KMeansConfig, KMeansResult, global_kmeanspp, kmeanspp_se
 from .core import (
     Dataset,
     DatasetStats,
-    DistanceMatrix,
     Labeling,
-    MetricTag,
     canonicalize_labels,
     dataset_stats,
-    distances_from_point,
     pairwise_distances,
 )
 from .kselect import SweepResult, SweepRow, estimate_k, sweep
@@ -25,18 +22,7 @@ from .sampling import (
     monte_carlo_study,
     uniform_sample,
 )
-from .silhouette import (
-    SilhouetteReport,
-    SilhouetteUndefinedError,
-    SingletonClusterError,
-    cluster_mean,
-    full_report,
-    inner_distance,
-    macro_average,
-    micro_average,
-    outer_distance,
-    point_score,
-)
+from .silhouette import SilhouetteReport, SilhouetteUndefinedError, full_report
 from .synth import (
     BlobSpec,
     NoiseSpec,
@@ -53,22 +39,12 @@ __all__ = [
     "__version__",
     "Dataset",
     "Labeling",
-    "DistanceMatrix",
     "DatasetStats",
-    "MetricTag",
     "pairwise_distances",
-    "distances_from_point",
     "canonicalize_labels",
     "dataset_stats",
     "SilhouetteReport",
     "SilhouetteUndefinedError",
-    "SingletonClusterError",
-    "inner_distance",
-    "outer_distance",
-    "point_score",
-    "micro_average",
-    "cluster_mean",
-    "macro_average",
     "full_report",
     "SampleSpec",
     "SampleResult",

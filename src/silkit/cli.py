@@ -30,6 +30,7 @@ from .experiments import (
 )
 from .ingest import (
     ColumnSchema,
+    _write_config_header,
     impute_mean,
     load_csv,
     minmax_normalize,
@@ -79,8 +80,7 @@ def _write_csv(path, config: dict, header: list[str], rows: list[list]):
         return str(v)
 
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        for key in sorted(config):
-            fh.write(f"# {key}={config[key]}\n")
+        _write_config_header(fh, config)
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -96,10 +96,10 @@ def _write_json(path, payload: dict):
 def _load_dataset(args) -> Dataset:
     """Read a dataset: the canonical points+label CSV, or any CSV through
     the preprocessing pipeline when --schema is given."""
-    if getattr(args, "schema", None):
+    if args.schema:
         schema = ColumnSchema.from_file(args.schema)
         data = minmax_normalize(one_hot(impute_mean(load_csv(args.data, schema))))
-        if getattr(args, "prepared_out", None):
+        if args.prepared_out:
             write_dataset_csv(
                 args.prepared_out, data, header_lines={"source": args.data, "schema": args.schema}
             )
@@ -346,9 +346,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"silkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # flags shared by every leaf command, by the dataset readers, and by the studies
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("-o", "--output", required=True)
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--data", required=True, help="dataset CSV (last column = label)")
+    dataset.add_argument("--schema", help="schema config JSON for preprocessing a raw CSV")
+    dataset.add_argument("--prepared-out", help="write the preprocessed dataset CSV here for audit")
+    study = argparse.ArgumentParser(add_help=False)
+    study.add_argument("--threads", type=int)
+
     gen = sub.add_parser("gen", help="generate synthetic datasets")
     gen_sub = gen.add_subparsers(dest="generator", required=True)
-    blobs = gen_sub.add_parser("blobs", help="isotropic Gaussian blobs")
+    blobs = gen_sub.add_parser("blobs", parents=[common], help="isotropic Gaussian blobs")
     blobs.add_argument("--k", type=int, default=4, help="number of clusters")
     blobs.add_argument("--n", type=int, default=200, help="points per cluster")
     blobs.add_argument(
@@ -361,72 +372,56 @@ def build_parser() -> argparse.ArgumentParser:
     blobs.add_argument("--noise-pct", type=float, default=0.0, help="background noise level in percent")
     blobs.add_argument("--noise-pad", type=float, default=0.10, help="noise box padding per side (fraction of span)")
     blobs.add_argument("--stddev", type=float, default=1.0, help="blob stddev for the even profile")
-    blobs.add_argument("--seed", type=int, default=0)
-    blobs.add_argument("-o", "--output", required=True)
     blobs.set_defaults(func=cmd_gen)
 
-    score = sub.add_parser("score", help="silhouette report for a labeled dataset")
-    score.add_argument("--data", required=True, help="dataset CSV (last column = label)")
-    score.add_argument("--schema", help="schema config JSON for preprocessing a raw CSV")
-    score.add_argument("--prepared-out", help="write the preprocessed dataset CSV here for audit")
+    score = sub.add_parser(
+        "score", parents=[common, dataset], help="silhouette report for a labeled dataset"
+    )
     score.add_argument("--labels", help="optional label file overriding the CSV label column")
     score.add_argument("--sample", type=int, help="score a subsample of this size")
     score.add_argument("--strategy", choices=("uniform", "balanced"), default="balanced")
-    score.add_argument("--seed", type=int, default=0)
-    score.add_argument("-o", "--output", required=True)
     score.set_defaults(func=cmd_score)
 
-    cluster = sub.add_parser("cluster", help="global k-means++ clustering")
-    cluster.add_argument("--data", required=True)
-    cluster.add_argument("--schema", help="schema config JSON for preprocessing a raw CSV")
-    cluster.add_argument("--prepared-out", help="write the preprocessed dataset CSV here for audit")
+    cluster = sub.add_parser("cluster", parents=[common, dataset], help="global k-means++ clustering")
     cluster.add_argument("--k", type=int, required=True)
     cluster.add_argument("--candidates", type=int, default=10)
-    cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("-o", "--output", required=True)
     cluster.set_defaults(func=cmd_cluster)
 
-    sweep_p = sub.add_parser("sweep", help="k-sweep with micro/macro silhouette scores")
-    sweep_p.add_argument("--data", required=True)
-    sweep_p.add_argument("--schema", help="schema config JSON for preprocessing a raw CSV")
-    sweep_p.add_argument("--prepared-out", help="write the preprocessed dataset CSV here for audit")
+    sweep_p = sub.add_parser(
+        "sweep", parents=[common, dataset], help="k-sweep with micro/macro silhouette scores"
+    )
     sweep_p.add_argument("--k-min", type=int, default=2)
     sweep_p.add_argument("--k-max", type=int, default=30)
     sweep_p.add_argument("--sample", type=int, help="balanced-sample size for scoring each k")
     sweep_p.add_argument("--strategy", choices=("uniform", "balanced"), default="balanced")
     sweep_p.add_argument("--candidates", type=int, default=10)
     sweep_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep_p.add_argument("--seed", type=int, default=0)
-    sweep_p.add_argument("-o", "--output", required=True)
     sweep_p.set_defaults(func=cmd_sweep)
 
-    nucleus = sub.add_parser("nucleus-study", help="imbalance attack: score vs nucleus size")
+    nucleus = sub.add_parser(
+        "nucleus-study", parents=[common, study], help="imbalance attack: score vs nucleus size"
+    )
     nucleus.add_argument("--sizes", type=_int_list, default=[100, 500, 1000, 2000, 5000, 10000])
-    nucleus.add_argument("--seed", type=int, default=0)
-    nucleus.add_argument("--threads", type=int)
-    nucleus.add_argument("-o", "--output", required=True)
     nucleus.set_defaults(func=cmd_nucleus_study)
 
-    noise = sub.add_parser("noise-study", help="estimated k per background-noise level")
+    noise = sub.add_parser(
+        "noise-study", parents=[common, study], help="estimated k per background-noise level"
+    )
     noise.add_argument("--levels", type=_float_list, default=[0, 10, 20, 30, 40, 50])
     noise.add_argument("--k-min", type=int, default=2)
     noise.add_argument("--k-max", type=int, default=30)
     noise.add_argument("--cluster-seed", type=int, default=5)
     noise.add_argument("--noise-pad", type=float, default=NOISE_STUDY_PAD)
-    noise.add_argument("--seed", type=int, default=0)
-    noise.add_argument("--threads", type=int)
-    noise.add_argument("-o", "--output", required=True)
     noise.set_defaults(func=cmd_noise_study)
 
-    samples = sub.add_parser("sample-study", help="uniform vs balanced sampling Monte Carlo")
+    samples = sub.add_parser(
+        "sample-study", parents=[common, study], help="uniform vs balanced sampling Monte Carlo"
+    )
     samples.add_argument("--sizes", type=_int_list, default=[50, 100, 200, 400, 800])
     samples.add_argument("--runs", type=int, default=30)
     samples.add_argument("--nucleus", type=int, default=10000, help="nucleus cluster size")
     samples.add_argument("--statistic", choices=("macro", "micro"), default="macro")
     samples.add_argument("--sample-seed-base", type=int, default=10)
-    samples.add_argument("--seed", type=int, default=0)
-    samples.add_argument("--threads", type=int)
-    samples.add_argument("-o", "--output", required=True)
     samples.add_argument("--summary", required=True)
     samples.set_defaults(func=cmd_sample_study)
 

@@ -1,35 +1,26 @@
 """Core data containers: datasets, labelings, and distance computation.
 
 Everything downstream (silhouette scoring, sampling, k-means) works on the
-three immutable containers defined here. Distances are always computed with
-the direct difference formula so that the full-matrix path and the streaming
-per-row path produce bit-identical values.
+immutable containers defined here; the studies share its ordered parallel
+map. Distances are always computed with the direct difference formula, so a
+distance row has the same bits whatever block of rows it is computed in.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "MetricTag",
     "Dataset",
     "Labeling",
-    "DistanceMatrix",
     "DatasetStats",
     "pairwise_distances",
-    "distances_from_point",
     "canonicalize_labels",
     "dataset_stats",
 ]
-
-
-class MetricTag(Enum):
-    """Distance metric selector. Only Euclidean is implemented today."""
-
-    EUCLIDEAN = "euclidean"
 
 
 @dataclass(frozen=True)
@@ -111,35 +102,6 @@ class Labeling:
 
 
 @dataclass(frozen=True)
-class DistanceMatrix:
-    """Symmetric nonnegative N x N matrix with zero diagonal."""
-
-    entries: np.ndarray
-    metric: MetricTag = MetricTag.EUCLIDEAN
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"entries must be square, got shape {m.shape}")
-        if (m < 0).any():
-            raise ValueError("distances must be nonnegative")
-        if np.diagonal(m).any():
-            raise ValueError("diagonal must be zero")
-        if not np.array_equal(m, m.T):
-            raise ValueError("entries must be symmetric")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.entries[i]
-
-
-@dataclass(frozen=True)
 class DatasetStats:
     """Per-cluster sizes, imbalance ratio, and per-dimension bounding box."""
 
@@ -165,29 +127,30 @@ def block_rows_for(n: int, dim: int, target_bytes: int = 1 << 26) -> int:
     return int(min(rows, n))
 
 
-def pairwise_distances(data: Dataset, metric: MetricTag = MetricTag.EUCLIDEAN) -> DistanceMatrix:
-    """Full N x N Euclidean distance matrix (O(N^2) time and memory)."""
-    if metric is not MetricTag.EUCLIDEAN:
-        raise ValueError(f"unsupported metric: {metric}")
-    pts = data.points
+def pairwise_distances(data: Dataset) -> np.ndarray:
+    """Full N x N Euclidean distance matrix (O(N^2) time and memory).
+
+    (a-b)^2 == (b-a)^2 bitwise, so the result is exactly symmetric with an
+    exactly zero diagonal.
+    """
     n = data.n
     out = np.empty((n, n), dtype=np.float64)
     step = block_rows_for(n, data.dim)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        out[lo:hi] = _distance_block(pts, lo, hi)
-    # (a-b)^2 == (b-a)^2 bitwise, so the result is exactly symmetric and the
-    # diagonal is exactly zero; the DistanceMatrix validator re-checks both.
-    return DistanceMatrix(out, metric)
+        out[lo:hi] = _distance_block(data.points, lo, hi)
+    return out
 
 
-def distances_from_point(data: Dataset, i: int, metric: MetricTag = MetricTag.EUCLIDEAN) -> np.ndarray:
-    """Row i of the full distance matrix, computed without materializing it."""
-    if metric is not MetricTag.EUCLIDEAN:
-        raise ValueError(f"unsupported metric: {metric}")
-    if not 0 <= i < data.n:
-        raise IndexError(f"row index {i} out of range for {data.n} rows")
-    return _distance_block(data.points, i, i + 1)[0]
+def _parallel_map(fn, items, threads: int | None) -> list:
+    """``[fn(x) for x in items]``, on a thread pool when threads > 1.
+
+    Results come back in input order, so they never depend on scheduling.
+    """
+    if threads and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def canonicalize_labels(raw) -> Labeling:

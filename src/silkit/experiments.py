@@ -8,13 +8,12 @@ in index order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clustering import KMeansConfig, global_kmeanspp
-from .core import Dataset, Labeling
+from .core import Dataset, Labeling, _parallel_map
 from .kselect import SweepResult, estimate_k, sweep
 from .sampling import MonteCarloCell, monte_carlo_study
 from .silhouette import full_report
@@ -111,11 +110,7 @@ def nucleus_study(
             macro_truth=truth_report.macro,
         )
 
-    sizes = list(sizes)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, sizes))
-    return [one(s) for s in sizes]
+    return _parallel_map(one, sizes, threads)
 
 
 @dataclass(frozen=True)
@@ -162,11 +157,7 @@ def noise_study(
             estimate_macro=estimate_k(result, "macro"),
         )
 
-    items = list(enumerate(levels_pct))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, items))
-    return [one(it) for it in items]
+    return _parallel_map(one, enumerate(levels_pct), threads)
 
 
 @dataclass(frozen=True)

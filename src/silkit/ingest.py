@@ -216,15 +216,19 @@ def minmax_normalize(table: RawTable) -> Dataset:
     return Dataset(x, truth_labels=table.labels, column_names=tuple(table.numeric_names))
 
 
+def _write_config_header(fh, config: dict):
+    """One ``# key=value`` comment line per entry, keys sorted."""
+    for key in sorted(config):
+        fh.write(f"# {key}={config[key]}\n")
+
+
 def write_dataset_csv(path, data: Dataset, *, header_lines: dict | None = None):
     """Write the canonical points+label CSV (see module docstring)."""
     path = Path(path)
     n, d = data.points.shape
     truth = data.truth_labels
     with path.open("w", newline="", encoding="utf-8") as fh:
-        if header_lines:
-            for key in sorted(header_lines):
-                fh.write(f"# {key}={header_lines[key]}\n")
+        _write_config_header(fh, header_lines or {})
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(d)] + ["label"])
         for i in range(n):

@@ -90,7 +90,7 @@ def sweep(
             spec = SampleSpec(sample_strategy, sample_size, sample_seed + k)
             scored = sample_and_score(data, labeling, spec)
             if not scored.defined:
-                raise RuntimeError(
+                raise ValueError(
                     f"subsample at k={k} lost all but one cluster; enlarge sample_size"
                 )
             micro, macro = scored.micro_weighted, scored.report.macro

@@ -14,12 +14,11 @@ lands inside a single cluster, and the study commands record that outcome.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Labeling, canonicalize_labels
+from .core import Dataset, Labeling, _parallel_map, canonicalize_labels
 from .silhouette import SilhouetteReport, full_report
 
 __all__ = [
@@ -212,11 +211,7 @@ def monte_carlo_study(
         spec = SampleSpec(strategy, size, seed_base + run)
         return _study_score(sample_and_score(data, labels, spec), statistic)
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(one, tasks))
-    else:
-        flat = [one(t) for t in tasks]
+    flat = _parallel_map(one, tasks, threads)
 
     cells = []
     pos = 0

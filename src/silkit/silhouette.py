@@ -19,35 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    DistanceMatrix,
-    Labeling,
-    _distance_block,
-    block_rows_for,
-    pairwise_distances,
-)
+from .core import Dataset, Labeling, _distance_block, block_rows_for
 
-__all__ = [
-    "SilhouetteUndefinedError",
-    "SingletonClusterError",
-    "SilhouetteReport",
-    "inner_distance",
-    "outer_distance",
-    "point_score",
-    "micro_average",
-    "cluster_mean",
-    "macro_average",
-    "full_report",
-]
+__all__ = ["SilhouetteUndefinedError", "SilhouetteReport", "full_report"]
 
 
 class SilhouetteUndefinedError(ValueError):
     """Raised when fewer than two clusters are present."""
-
-
-class SingletonClusterError(ValueError):
-    """Raised by inner_distance for a point alone in its cluster."""
 
 
 @dataclass(frozen=True)
@@ -71,74 +49,6 @@ class SilhouetteReport:
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
-
-
-def _require_k2(labels: Labeling):
-    if labels.k < 2:
-        raise SilhouetteUndefinedError("silhouette requires at least two clusters")
-
-
-def inner_distance(i: int, labels: Labeling, dist: DistanceMatrix) -> float:
-    """Mean distance from point i to the other members of its own cluster."""
-    c = labels.assignments[i]
-    members = labels.members(c)
-    if len(members) < 2:
-        raise SingletonClusterError(f"point {i} is alone in cluster {c}")
-    row = dist.row(i)
-    return float(row[members].sum() / (len(members) - 1))
-
-
-def outer_distance(i: int, labels: Labeling, dist: DistanceMatrix) -> tuple[float, int]:
-    """Minimum mean distance from point i to a foreign cluster.
-
-    Returns (distance, cluster id); ties resolve to the smaller id.
-    """
-    _require_k2(labels)
-    own = labels.assignments[i]
-    row = dist.row(i)
-    best = (np.inf, -1)
-    for c in range(labels.k):
-        if c == own:
-            continue
-        members = labels.members(c)
-        mean = row[members].sum() / len(members)
-        if mean < best[0]:
-            best = (mean, c)
-    return float(best[0]), int(best[1])
-
-
-def point_score(i: int, labels: Labeling, dist: DistanceMatrix) -> float:
-    """Silhouette score of point i in [-1, 1]."""
-    _require_k2(labels)
-    try:
-        a = inner_distance(i, labels, dist)
-    except SingletonClusterError:
-        return 0.0
-    b, _ = outer_distance(i, labels, dist)
-    denom = max(a, b)
-    if denom == 0.0:
-        return 0.0
-    return (b - a) / denom
-
-
-def micro_average(labels: Labeling, dist: DistanceMatrix) -> float:
-    """Mean silhouette over all points (point-level weighting)."""
-    _require_k2(labels)
-    return float(np.mean([point_score(i, labels, dist) for i in range(labels.n)]))
-
-
-def cluster_mean(c: int, labels: Labeling, dist: DistanceMatrix) -> float:
-    """Mean silhouette over the members of cluster c."""
-    members = labels.members(c)
-    if len(members) == 0:
-        raise ValueError(f"cluster {c} is empty")
-    return float(np.mean([point_score(int(i), labels, dist) for i in members]))
-
-
-def macro_average(labels: Labeling, dist: DistanceMatrix) -> float:
-    """Mean of the per-cluster mean silhouettes (cluster-level weighting)."""
-    _require_k2(labels)
-    return float(np.mean([cluster_mean(c, labels, dist) for c in range(labels.k)]))
 
 
 def _scores_from_block(
@@ -168,47 +78,32 @@ def _scores_from_block(
     return s
 
 
-def full_report(
-    data: Dataset,
-    labels: Labeling,
-    *,
-    distances: DistanceMatrix | None = None,
-    materialize: bool | None = None,
-) -> SilhouetteReport:
+def full_report(data: Dataset, labels: Labeling) -> SilhouetteReport:
     """Complete silhouette report for a labeled dataset.
 
-    ``distances`` reuses a precomputed matrix. Otherwise ``materialize``
-    picks between building the full matrix (fast to reuse, O(N^2) memory)
-    and streaming blocks of rows (O(block x N) memory); the default streams
-    for large N. All paths give bit-identical results.
+    Streams blocks of distance rows (O(block x N) memory, see
+    ``block_rows_for``); every row's score is independent of the block it
+    lands in, so the result does not depend on the block height.
     """
     if labels.n != data.n:
         raise ValueError("labeling length does not match dataset")
-    _require_k2(labels)
+    if labels.k < 2:
+        raise SilhouetteUndefinedError("silhouette requires at least two clusters")
     own = labels.assignments
     counts = labels.cluster_sizes()
     n = data.n
-
     members = [labels.members(c) for c in range(labels.k)]
 
     per_point = np.empty(n, dtype=np.float64)
-    if distances is not None:
-        if distances.n != n:
-            raise ValueError("distance matrix size does not match dataset")
-        per_point[:] = _scores_from_block(distances.entries, own, counts, members)
-    else:
-        if materialize is None:
-            materialize = n <= 2048
-        if materialize:
-            per_point[:] = _scores_from_block(
-                pairwise_distances(data).entries, own, counts, members
-            )
-        else:
-            step = block_rows_for(n, data.dim)
-            for lo in range(0, n, step):
-                hi = min(lo + step, n)
-                block = _distance_block(data.points, lo, hi)
-                per_point[lo:hi] = _scores_from_block(block, own[lo:hi], counts, members)
+    # numpy sums a one-row gather pairwise but a taller one in member order,
+    # so no block is left with a single row (n >= 2 once k >= 2)
+    step = max(2, block_rows_for(n, data.dim))
+    lo = 0
+    while lo < n:
+        hi = n if n - lo <= step + 1 else lo + step
+        block = _distance_block(data.points, lo, hi)
+        per_point[lo:hi] = _scores_from_block(block, own[lo:hi], counts, members)
+        lo = hi
 
     sums = np.bincount(own, weights=per_point, minlength=labels.k)
     per_cluster = sums / counts

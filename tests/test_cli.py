@@ -114,6 +114,20 @@ def test_sweep_finds_true_k(tmp_path):
     assert payload["argmax_macro"] == 3
 
 
+def test_sampled_sweep_losing_clusters_is_one_line_error(tmp_path, capsys):
+    data = tmp_path / "nuc.csv"
+    run(["gen", "blobs", "--k", "12", "--n", "20", "--nucleus-extra", "2000",
+         "--seed", "0", "-o", str(data)])
+    capsys.readouterr()
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--data", str(data), "--k-min", "2", "--k-max", "4",
+                "--sample", "2", "--strategy", "uniform", "--seed", "1", "-o", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "lost all but one cluster" in err[0]
+    assert not out.exists()
+
+
 def test_env_seed_override(tmp_path, monkeypatch):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run(["gen", "blobs", "--k", "2", "--n", "20", "--seed", "1", "-o", str(a)])

@@ -3,12 +3,10 @@ import pytest
 
 from silkit.core import (
     Dataset,
-    DistanceMatrix,
     Labeling,
-    MetricTag,
+    _distance_block,
     canonicalize_labels,
     dataset_stats,
-    distances_from_point,
     pairwise_distances,
 )
 
@@ -16,26 +14,27 @@ from silkit.core import (
 def test_two_point_1d_distance():
     d = Dataset([[0.0], [3.0]])
     m = pairwise_distances(d)
-    assert np.array_equal(m.entries, [[0.0, 3.0], [3.0, 0.0]])
+    assert isinstance(m, np.ndarray)
+    assert np.array_equal(m, [[0.0, 3.0], [3.0, 0.0]])
 
 
 def test_diagonal_all_zeros():
     rng = np.random.default_rng(0)
     d = Dataset(rng.normal(size=(17, 3)))
     m = pairwise_distances(d)
-    assert np.array_equal(np.diagonal(m.entries), np.zeros(17))
+    assert np.array_equal(np.diagonal(m), np.zeros(17))
 
 
 def test_345_triangle():
     d = Dataset([[0.0, 0.0], [3.0, 4.0]])
     m = pairwise_distances(d)
-    assert m.entries[0, 1] == 5.0
+    assert m[0, 1] == 5.0
 
 
 def test_matrix_properties_random():
     rng = np.random.default_rng(1)
     d = Dataset(rng.normal(size=(40, 4)))
-    m = pairwise_distances(d).entries
+    m = pairwise_distances(d)
     assert np.array_equal(m, m.T)
     assert (m >= 0).all()
     # triangle inequality on sampled triples (allow fp slack)
@@ -49,20 +48,14 @@ def test_row_equals_matrix_row_bitwise():
     d = Dataset(rng.normal(size=(20, 5)))
     m = pairwise_distances(d)
     for i in range(20):
-        assert np.array_equal(distances_from_point(d, i), m.entries[i])
+        assert np.array_equal(_distance_block(d.points, i, i + 1)[0], m[i])
 
 
 def test_row_self_distance_zero():
     rng = np.random.default_rng(3)
     d = Dataset(rng.normal(size=(9, 2)))
     for i in range(9):
-        assert distances_from_point(d, i)[i] == 0.0
-
-
-def test_row_index_out_of_range():
-    d = Dataset([[0.0], [1.0]])
-    with pytest.raises(IndexError):
-        distances_from_point(d, 2)
+        assert _distance_block(d.points, i, i + 1)[0, i] == 0.0
 
 
 def test_non_finite_rejected():
@@ -136,28 +129,8 @@ def test_stats_bounding_box():
     assert s.bounding_box == ((0.0, 2.0), (-1.0, 5.0))
 
 
-def test_distance_matrix_validation():
-    with pytest.raises(ValueError):
-        DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
-    with pytest.raises(ValueError):
-        DistanceMatrix(np.array([[1.0]]))  # nonzero diagonal
-    with pytest.raises(ValueError):
-        DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative
-
-
-def test_unsupported_metric():
-    d = Dataset([[0.0], [1.0]])
-    with pytest.raises(ValueError):
-        pairwise_distances(d, metric="cosine")
-
-
 def test_dataset_immutable():
     d = Dataset([[0.0], [1.0]])
     with pytest.raises(ValueError):
         d.points[0, 0] = 5.0
     assert d.points.flags.writeable is False
-
-
-def test_metric_tag_default():
-    d = Dataset([[0.0], [1.0]])
-    assert pairwise_distances(d).metric is MetricTag.EUCLIDEAN

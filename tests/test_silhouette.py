@@ -3,18 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from silkit.core import Dataset, Labeling, canonicalize_labels, pairwise_distances
-from silkit.silhouette import (
-    SilhouetteUndefinedError,
-    SingletonClusterError,
-    cluster_mean,
-    full_report,
-    inner_distance,
-    macro_average,
-    micro_average,
-    outer_distance,
-    point_score,
-)
+from silkit import silhouette
+from silkit.core import Dataset, Labeling, canonicalize_labels
+from silkit.silhouette import SilhouetteUndefinedError, full_report
 
 from naive import naive_silhouette
 
@@ -23,90 +14,65 @@ PAIRS = Dataset([[0.0], [1.0], [10.0], [11.0]])
 PAIRS_LABELS = Labeling(np.array([0, 0, 1, 1]), k=2)
 
 
-def pairs_dist():
-    return pairwise_distances(PAIRS)
+def scores(points, assignments) -> np.ndarray:
+    labels = Labeling(np.array(assignments), k=max(assignments) + 1)
+    return full_report(Dataset(points), labels).per_point
 
 
 def test_inner_distance_hand_value():
-    assert inner_distance(0, PAIRS_LABELS, pairs_dist()) == 1.0
+    # every point has a = 1 (its partner); b is 10.5 at the ends, 9.5 inside
+    expected = [(10.5 - 1.0) / 10.5, (9.5 - 1.0) / 9.5, (9.5 - 1.0) / 9.5, (10.5 - 1.0) / 10.5]
+    assert full_report(PAIRS, PAIRS_LABELS).per_point.tolist() == expected
 
 
 def test_inner_distance_duplicates_zero():
-    d = Dataset([[2.0, 2.0], [2.0, 2.0], [9.0, 9.0]])
-    lab = Labeling(np.array([0, 0, 1]), k=2)
-    assert inner_distance(0, lab, pairwise_distances(d)) == 0.0
+    # a = 0 against a positive b scores exactly 1
+    assert scores([[2.0, 2.0], [2.0, 2.0], [9.0, 9.0]], [0, 0, 1])[0] == 1.0
 
 
 def test_inner_distance_mean_of_two():
-    # cluster of 3 with distances 2 and 4 from point 0
-    d = Dataset([[0.0], [2.0], [4.0], [50.0]])
-    lab = Labeling(np.array([0, 0, 0, 1]), k=2)
-    assert inner_distance(0, lab, pairwise_distances(d)) == 3.0
-
-
-def test_inner_distance_singleton_raises():
-    d = Dataset([[0.0], [5.0], [6.0]])
-    lab = Labeling(np.array([0, 1, 1]), k=2)
-    with pytest.raises(SingletonClusterError):
-        inner_distance(0, lab, pairwise_distances(d))
+    # cluster of 3 with distances 2 and 4 from point 0: a = 3, b = 50
+    assert scores([[0.0], [2.0], [4.0], [50.0]], [0, 0, 0, 1])[0] == (50 - 3) / 50
 
 
 def test_outer_distance_hand_value():
-    b, nearest = outer_distance(0, PAIRS_LABELS, pairs_dist())
-    assert b == 10.5
-    assert nearest == 1
-
-
-def test_outer_distance_tie_breaks_to_smaller_id():
-    # point 0 equidistant in mean from clusters at +5 and -5
-    d = Dataset([[0.0], [5.0], [-5.0]])
-    lab = Labeling(np.array([0, 1, 2]), k=3)
-    b, nearest = outer_distance(0, lab, pairwise_distances(d))
-    assert b == 5.0
-    assert nearest == 1
+    # foreign cluster means 10.5 and 20.5 from point 0: b is the nearer one
+    s = scores([[0.0], [1.0], [10.0], [11.0], [-20.0], [-21.0]], [0, 0, 1, 1, 2, 2])
+    assert s[0] == (10.5 - 1.0) / 10.5
 
 
 def test_outer_distance_coincident_foreign_singleton():
-    d = Dataset([[3.0], [3.0], [4.0]])
-    lab = Labeling(np.array([0, 1, 0]), k=2)
-    b, nearest = outer_distance(0, lab, pairwise_distances(d))
-    assert b == 0.0
-    assert nearest == 1
+    # a = 1, b = 0 (a foreign singleton on top of point 0)
+    assert scores([[3.0], [3.0], [4.0]], [0, 1, 0])[0] == -1.0
 
 
 def test_outer_distance_requires_two_clusters():
-    d = Dataset([[0.0], [1.0]])
-    lab = Labeling(np.array([0, 0]), k=1)
+    d = Dataset([[2.0], [2.0], [2.0]])
     with pytest.raises(SilhouetteUndefinedError):
-        outer_distance(0, lab, pairwise_distances(d))
+        full_report(d, canonicalize_labels([4, 4, 4]))
 
 
 def test_point_score_hand_value():
-    assert point_score(0, PAIRS_LABELS, pairs_dist()) == pytest.approx(9.5 / 10.5, abs=1e-12)
+    s = full_report(PAIRS, PAIRS_LABELS).per_point
+    assert s[0] == pytest.approx(9.5 / 10.5, abs=1e-12)
 
 
 def test_point_score_singleton_is_zero():
-    d = Dataset([[0.0], [5.0], [6.0]])
-    lab = Labeling(np.array([0, 1, 1]), k=2)
-    assert point_score(0, lab, pairwise_distances(d)) == 0.0
+    assert scores([[0.0], [5.0], [6.0]], [0, 1, 1])[0] == 0.0
 
 
 def test_point_score_misassignment_negative():
     # {0 | 1, 10}: the point at 1 sits right next to the other cluster
-    d = Dataset([[0.0], [1.0], [10.0]])
-    lab = Labeling(np.array([0, 1, 1]), k=2)
-    s = point_score(1, lab, pairwise_distances(d))
-    assert s == pytest.approx(-8.0 / 9.0, abs=1e-12)
+    s = scores([[0.0], [1.0], [10.0]], [0, 1, 1])
+    assert s[1] == pytest.approx(-8.0 / 9.0, abs=1e-12)
 
 
 def test_point_score_all_coincident_zero():
-    d = Dataset([[1.0], [1.0], [1.0], [1.0]])
-    lab = Labeling(np.array([0, 0, 1, 1]), k=2)
-    assert point_score(0, lab, pairwise_distances(d)) == 0.0
+    assert (scores([[1.0], [1.0], [1.0], [1.0]], [0, 0, 1, 1]) == 0.0).all()
 
 
 def test_micro_average_hand_value():
-    micro = micro_average(PAIRS_LABELS, pairs_dist())
+    micro = full_report(PAIRS, PAIRS_LABELS).micro
     expected = (9.5 / 10.5 + 8.5 / 9.5 + 8.5 / 9.5 + 9.5 / 10.5) / 4
     assert micro == pytest.approx(expected, abs=1e-12)
     assert micro == pytest.approx(0.899749, abs=1e-6)
@@ -115,11 +81,11 @@ def test_micro_average_hand_value():
 def test_micro_average_all_singletons_zero():
     d = Dataset([[0.0], [4.0], [9.0]])
     lab = Labeling(np.array([0, 1, 2]), k=3)
-    assert micro_average(lab, pairwise_distances(d)) == 0.0
+    assert full_report(d, lab).micro == 0.0
 
 
 def test_cluster_mean_hand_value():
-    s0 = cluster_mean(0, PAIRS_LABELS, pairs_dist())
+    s0 = full_report(PAIRS, PAIRS_LABELS).per_cluster[0]
     assert s0 == pytest.approx((9.5 / 10.5 + 8.5 / 9.5) / 2, abs=1e-12)
 
 
@@ -127,25 +93,23 @@ def test_cluster_mean_vs_singleton():
     # {0} | {5, 6}: pair scores 0.8 and 5/6
     d = Dataset([[0.0], [5.0], [6.0]])
     lab = Labeling(np.array([0, 1, 1]), k=2)
-    dist = pairwise_distances(d)
-    assert cluster_mean(1, lab, dist) == pytest.approx((0.8 + 5.0 / 6.0) / 2, abs=1e-12)
-    assert cluster_mean(1, lab, dist) == pytest.approx(0.81667, abs=1e-5)
-    assert cluster_mean(0, lab, dist) == 0.0
+    per_cluster = full_report(d, lab).per_cluster
+    assert per_cluster[1] == pytest.approx((0.8 + 5.0 / 6.0) / 2, abs=1e-12)
+    assert per_cluster[1] == pytest.approx(0.81667, abs=1e-5)
+    assert per_cluster[0] == 0.0
 
 
 def test_macro_average_balanced_equals_micro():
-    dist = pairs_dist()
-    assert macro_average(PAIRS_LABELS, dist) == pytest.approx(
-        micro_average(PAIRS_LABELS, dist), abs=1e-12
-    )
+    report = full_report(PAIRS, PAIRS_LABELS)
+    assert report.macro == pytest.approx(report.micro, abs=1e-12)
 
 
 def test_macro_micro_diverge_under_imbalance():
     d = Dataset([[0.0], [5.0], [6.0]])
     lab = Labeling(np.array([0, 1, 1]), k=2)
-    dist = pairwise_distances(d)
-    assert micro_average(lab, dist) == pytest.approx(0.54444, abs=1e-5)
-    assert macro_average(lab, dist) == pytest.approx(0.40833, abs=1e-5)
+    report = full_report(d, lab)
+    assert report.micro == pytest.approx(0.54444, abs=1e-5)
+    assert report.macro == pytest.approx(0.40833, abs=1e-5)
 
 
 def test_full_report_matches_pointwise_ops():
@@ -188,15 +152,22 @@ def test_full_report_matches_oracle_small():
     assert report.macro == pytest.approx(macro, abs=1e-12)
 
 
-def test_full_report_paths_bit_identical():
+def test_full_report_block_heights_bit_identical(monkeypatch):
     rng = np.random.default_rng(6)
-    data, labels = _random_instance(rng, n_max=120)
-    streamed = full_report(data, labels, materialize=False)
-    materialized = full_report(data, labels, materialize=True)
-    precomputed = full_report(data, labels, distances=pairwise_distances(data))
-    assert np.array_equal(streamed.per_point, materialized.per_point)
-    assert np.array_equal(streamed.per_point, precomputed.per_point)
-    assert streamed.micro == materialized.micro == precomputed.micro
+    for _ in range(3):
+        data, labels = _random_instance(rng, n_max=120)
+        # one row per block, ragged blocks of 7, a lone last row, one block
+        runs = []
+        for height in (1, 7, data.n - 1, data.n):
+            monkeypatch.setattr(silhouette, "block_rows_for", lambda n, dim, h=height: h)
+            runs.append(full_report(data, labels))
+        for report in runs[1:]:
+            assert np.array_equal(report.per_point, runs[0].per_point)
+            assert report.micro == runs[0].micro and report.macro == runs[0].macro
+        s, _, micro, macro = naive_silhouette(data.points, labels.assignments)
+        assert np.allclose(runs[0].per_point, s, rtol=0, atol=1e-12)
+        assert runs[0].micro == pytest.approx(micro, abs=1e-12)
+        assert runs[0].macro == pytest.approx(macro, abs=1e-12)
 
 
 def test_scores_in_range_random():
@@ -244,16 +215,15 @@ def test_scale_invariance(scale, seed):
 
 
 def test_pointwise_ops_agree_with_report():
+    # the aggregates are plain means of the per-point scores
     rng = np.random.default_rng(10)
     data, labels = _random_instance(rng, n_max=60, k_max=4)
-    dist = pairwise_distances(data)
-    report = full_report(data, labels, distances=dist)
-    assert micro_average(labels, dist) == pytest.approx(report.micro, abs=1e-12)
-    assert macro_average(labels, dist) == pytest.approx(report.macro, abs=1e-12)
+    report = full_report(data, labels)
+    assert report.micro == pytest.approx(report.per_point.mean(), abs=1e-12)
     for c in range(labels.k):
-        assert cluster_mean(c, labels, dist) == pytest.approx(report.per_cluster[c], abs=1e-12)
-    for i in range(data.n):
-        assert point_score(i, labels, dist) == pytest.approx(report.per_point[i], abs=1e-12)
+        members = report.per_point[labels.assignments == c]
+        assert report.per_cluster[c] == pytest.approx(members.mean(), abs=1e-12)
+    assert report.macro == pytest.approx(report.per_cluster.mean(), abs=1e-12)
 
 
 def test_report_json_roundtrip():

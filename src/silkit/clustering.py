@@ -3,7 +3,8 @@ incremental global variant that grows solutions one cluster at a time.
 
 Everything is deterministic given the config seed. Assignment ties break
 toward the smaller center index; empty clusters are repaired by seizing the
-point currently farthest from its assigned center.
+point currently farthest from its assigned center, or, when the data has
+fewer than k distinct points, raise ValueError.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Labeling
+from .core import Dataset, Labeling, _sq_distances
 
 __all__ = [
     "KMeansConfig",
@@ -63,20 +64,32 @@ class KMeansResult:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-center labels (ties -> smaller index) and squared distances."""
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
+def _assign(points_t: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-center labels (ties -> smaller index) and N x k squared distances."""
+    d2 = _sq_distances(points_t, centers)
     return d2.argmin(axis=1), d2
 
 
-def _repair_empty(labels: np.ndarray, d2: np.ndarray, k: int) -> np.ndarray:
-    """Give each empty cluster the point farthest from its assigned center."""
-    rows = np.arange(len(labels))
-    for c in range(k):
-        if not (labels == c).any():
-            far = int(d2[rows, labels].argmax())
-            labels = labels.copy()
-            labels[far] = c
+def _repair_empty(points: np.ndarray, centers: np.ndarray, labels: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Give each empty cluster, in id order, the point farthest from its
+    nearest center (never a last member) and move its center onto that point,
+    in place. Sizes and distances update as it goes, so two empty clusters
+    never seize the same point or coinciding ones. A farthest point at
+    distance 0 means fewer distinct points than k: ValueError."""
+    sizes = np.bincount(labels, minlength=len(centers))
+    if sizes.all():
+        return labels
+    labels, far_d2 = labels.copy(), d2.min(axis=1)
+    for c in np.flatnonzero(sizes == 0):
+        seizable = np.where(sizes[labels] > 1, far_d2, 0.0)
+        far = int(seizable.argmax())
+        if seizable[far] <= 0.0:
+            raise ValueError(f"the data has fewer than k={len(centers)} distinct points")
+        sizes[labels[far]] -= 1
+        sizes[c] += 1
+        labels[far] = c
+        centers[c] = points[far]
+        far_d2 = np.minimum(far_d2, _sq_distances(centers[c][:, None], points)[0])
     return labels
 
 
@@ -84,6 +97,7 @@ def lloyd(data: Dataset, initial_centers: np.ndarray, config: KMeansConfig) -> K
     """Alternate assignment and mean updates until the SSE improvement
     falls below ``tol`` (relative) or ``max_iters`` is reached."""
     points = data.points
+    points_t = np.ascontiguousarray(points.T)
     centers = np.array(initial_centers, dtype=np.float64, copy=True)
     if centers.ndim != 2 or centers.shape[1] != data.dim:
         raise ValueError("initial centers must be k x d")
@@ -95,8 +109,8 @@ def lloyd(data: Dataset, initial_centers: np.ndarray, config: KMeansConfig) -> K
     labels = None
     iterations = 0
     while iterations < config.max_iters:
-        new_labels, d2 = _assign(points, centers)
-        new_labels = _repair_empty(new_labels, d2, k)
+        new_labels, d2 = _assign(points_t, centers)
+        new_labels = _repair_empty(points, centers, new_labels, d2)
         if labels is not None and np.array_equal(new_labels, labels):
             break  # fixpoint: centers are already the means of these clusters
         labels = new_labels
@@ -109,22 +123,15 @@ def lloyd(data: Dataset, initial_centers: np.ndarray, config: KMeansConfig) -> K
         prev_sse = sse
 
     # return a consistent pair: labels are nearest-assignments against the
-    # returned centers (repaired points, if any, get their center snapped
-    # onto them so the pairing stays meaningful)
-    final_labels, d2 = _assign(points, centers)
-    rows = np.arange(data.n)
-    for c in range(k):
-        if not (final_labels == c).any():
-            far = int(d2[rows, final_labels].argmax())
-            final_labels[far] = c
-            centers[c] = points[far]
+    # returned centers, a repaired cluster's center sits on its one point
+    final_labels, d2 = _assign(points_t, centers)
+    final_labels = _repair_empty(points, centers, final_labels, d2)
     sse = float(((points - centers[final_labels]) ** 2).sum())
     return KMeansResult(centers, Labeling(final_labels, k), sse, max(iterations, 1))
 
 
 def _min_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-    return d2.min(axis=1)
+    return _sq_distances(np.ascontiguousarray(points.T), centers).min(axis=1)
 
 
 def _next_center_index(points: np.ndarray, centers: np.ndarray, rng: np.random.Generator) -> int:

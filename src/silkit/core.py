@@ -2,8 +2,8 @@
 
 Everything downstream (silhouette scoring, sampling, k-means) works on the
 immutable containers defined here; the studies share its ordered parallel
-map. Distances are always computed with the direct difference formula, so a
-distance row has the same bits whatever block of rows it is computed in.
+map and its one distance kernel, whose direct difference formula gives a
+distance the same bits whatever block of rows it is computed in.
 """
 
 from __future__ import annotations
@@ -110,20 +110,26 @@ class DatasetStats:
     bounding_box: tuple[tuple[float, float], ...] = field(default=())
 
 
-def _distance_block(points: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Euclidean distances from rows lo..hi-1 to every row.
+def _sq_distances(cols_t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """m x r squared Euclidean distances from m column points, given as their
+    C-contiguous d x m transpose, to the r x d row points: one coordinate at a
+    time into an m x r buffer (subtract, square in place, add), with no gram
+    shortcut, so nearby points keep their precision. Coordinates add in order
+    from 0, as numpy sums a last axis shorter than 8, so for d < 8 these are
+    the bits of ``(diff * diff).sum(-1)``."""
+    out = np.subtract.outer(cols_t[0], rows[:, 0])
+    np.multiply(out, out, out=out)
+    buf = np.empty_like(out)
+    for j in range(1, len(cols_t)):
+        np.subtract.outer(cols_t[j], rows[:, j], out=buf)
+        out += np.multiply(buf, buf, out=buf)
+    return out
 
-    Direct difference formula: no gram-matrix shortcut, so nearby points do
-    not lose precision to cancellation and every caller gets identical bits
-    regardless of block size.
-    """
-    diff = points[lo:hi, None, :] - points[None, :, :]
-    return np.sqrt((diff * diff).sum(-1))
 
-
-def block_rows_for(n: int, dim: int, target_bytes: int = 1 << 26) -> int:
-    """Block height keeping the (rows x n x dim) temporary near target_bytes."""
-    rows = max(1, target_bytes // max(1, n * dim * 8))
+def block_rows_for(n: int, dim: int, target_bytes: int = 1 << 24) -> int:
+    """Rows r per block, keeping the kernel's two n x r float64 buffers plus
+    the r x dim rows near target_bytes (2-core Xeon: 8 MB buffers beat 32 MB)."""
+    rows = max(1, target_bytes // ((2 * n + dim) * 8))
     return int(min(rows, n))
 
 
@@ -131,14 +137,14 @@ def pairwise_distances(data: Dataset) -> np.ndarray:
     """Full N x N Euclidean distance matrix (O(N^2) time and memory).
 
     (a-b)^2 == (b-a)^2 bitwise, so the result is exactly symmetric with an
-    exactly zero diagonal.
+    exactly zero diagonal; column block lo..hi is therefore row block lo..hi.
     """
-    n = data.n
+    n, points = data.n, data.points
+    cols_t = np.ascontiguousarray(points.T)
     out = np.empty((n, n), dtype=np.float64)
     step = block_rows_for(n, data.dim)
     for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        out[lo:hi] = _distance_block(data.points, lo, hi)
+        np.sqrt(_sq_distances(cols_t, points[lo : lo + step]), out=out[:, lo : lo + step])
     return out
 
 
@@ -155,12 +161,18 @@ def _parallel_map(fn, items, threads: int | None) -> list:
 
 def canonicalize_labels(raw) -> Labeling:
     """Remap arbitrary integer ids to 0..k-1 in first-occurrence order."""
+    return _canonicalize_with_ids(raw)[0]
+
+
+def _canonicalize_with_ids(raw) -> tuple[Labeling, np.ndarray]:
+    """``canonicalize_labels`` plus the id map: new id c was raw id ids[c]."""
     arr = np.asarray(raw, dtype=np.int64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("raw labels must be a non-empty 1-D sequence")
-    _, first_pos, inverse = np.unique(arr, return_index=True, return_inverse=True)
-    order = np.argsort(np.argsort(first_pos, kind="stable"), kind="stable")
-    return Labeling(order[inverse], k=len(first_pos))
+    ids, first_pos, inverse = np.unique(arr, return_index=True, return_inverse=True)
+    order = np.argsort(first_pos, kind="stable")
+    new_id = np.argsort(order, kind="stable")
+    return Labeling(new_id[inverse], k=len(ids)), ids[order]
 
 
 def dataset_stats(data: Dataset, labels: Labeling) -> DatasetStats:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Labeling, _parallel_map, canonicalize_labels
+from .core import Dataset, Labeling, _canonicalize_with_ids, _parallel_map
 from .silhouette import SilhouetteReport, full_report
 
 __all__ = [
@@ -82,13 +82,9 @@ def _score_subset(data: Dataset, labels: Labeling, indices: np.ndarray) -> Sampl
     surviving = np.flatnonzero(drawn > 0)
     if len(surviving) < 2:
         return SampleResult(indices, drawn, surviving, None, None)
-    sub_labels = canonicalize_labels(sub_raw)
-    sub_data = Dataset(data.points[indices])
-    report = full_report(sub_data, sub_labels)
-    # canonicalize_labels numbers clusters by first occurrence in sub_raw;
-    # map each sub-cluster back to its original id for the size weighting
-    first_seen = sub_raw[np.sort(np.unique(sub_raw, return_index=True)[1])]
-    full_sizes = labels.cluster_sizes()[first_seen]
+    sub_labels, ids = _canonicalize_with_ids(sub_raw)
+    report = full_report(Dataset(data.points[indices]), sub_labels)
+    full_sizes = labels.cluster_sizes()[ids]
     micro_weighted = float((report.per_cluster * full_sizes).sum() / full_sizes.sum())
     return SampleResult(indices, drawn, surviving, report, micro_weighted)
 
@@ -103,19 +99,23 @@ def uniform_sample(data: Dataset, labels: Labeling, spec: SampleSpec) -> SampleR
 
 
 def balanced_allocation(cluster_sizes: np.ndarray, budget: int) -> np.ndarray:
-    """Per-cluster draw counts for a balanced sample of the given budget."""
+    """Per-cluster draw counts for a balanced sample of the given budget:
+    the leftover budget after the quotas lowers the largest unsampled counts
+    ("room") to one level, and what is left at that level goes to the
+    smallest ids (closed-form water-filling of the one-index rule)."""
     sizes = np.asarray(cluster_sizes, dtype=np.int64)
-    k = len(sizes)
-    quota = budget // k
-    alloc = np.minimum(sizes, quota)
+    alloc = np.minimum(sizes, budget // len(sizes))
     remaining = budget - int(alloc.sum())
-    while remaining > 0:
-        room = sizes - alloc
-        c = int(room.argmax())  # argmax takes the first max: smaller id wins ties
-        if room[c] == 0:
-            break
-        alloc[c] += 1
-        remaining -= 1
+    room = sizes - alloc
+    if remaining >= room.sum():
+        return sizes.copy()
+    lo, hi = 1, int(room.max())  # smallest level whose excess fits the budget
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if np.maximum(room - mid, 0).sum() <= remaining else (mid + 1, hi)
+    excess = np.maximum(room - lo, 0)
+    alloc += excess
+    alloc[np.flatnonzero(room >= lo)[: remaining - int(excess.sum())]] += 1
     return alloc
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Labeling, _distance_block, block_rows_for
+from .core import Dataset, Labeling, _sq_distances, block_rows_for
 
 __all__ = ["SilhouetteUndefinedError", "SilhouetteReport", "full_report"]
 
@@ -51,20 +51,10 @@ class SilhouetteReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _scores_from_block(
-    block: np.ndarray, own: np.ndarray, counts: np.ndarray, members: list[np.ndarray]
-) -> np.ndarray:
-    """Per-point scores for one block of distance rows.
-
-    Accumulates per-cluster distance sums in one pass (O(rows x k) memory),
-    then forms a, b and the ratio.
-    """
-    rows = block.shape[0]
-    k = len(counts)
-    sums = np.empty((rows, k), dtype=np.float64)
-    for c in range(k):
-        sums[:, c] = block[:, members[c]].sum(axis=1)
-    r = np.arange(rows)
+def _scores_from_sums(sums: np.ndarray, own: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-point scores for one block of rows from their per-cluster
+    distance sums (rows x k): forms a, b and the ratio."""
+    r = np.arange(len(own))
     singleton = counts[own] < 2
     a = np.where(singleton, 0.0, sums[r, own] / np.maximum(counts[own] - 1, 1))
     means = sums / counts[None, :]
@@ -81,9 +71,10 @@ def _scores_from_block(
 def full_report(data: Dataset, labels: Labeling) -> SilhouetteReport:
     """Complete silhouette report for a labeled dataset.
 
-    Streams blocks of distance rows (O(block x N) memory, see
-    ``block_rows_for``); every row's score is independent of the block it
-    lands in, so the result does not depend on the block height.
+    Streams blocks of rows (O(N x block) memory, see ``block_rows_for``)
+    against columns sorted by cluster, so a row's distances to a cluster are
+    one slab, summed in member order whatever block the row lands in: the
+    result does not depend on the block height.
     """
     if labels.n != data.n:
         raise ValueError("labeling length does not match dataset")
@@ -91,21 +82,27 @@ def full_report(data: Dataset, labels: Labeling) -> SilhouetteReport:
         raise SilhouetteUndefinedError("silhouette requires at least two clusters")
     own = labels.assignments
     counts = labels.cluster_sizes()
-    n = data.n
-    members = [labels.members(c) for c in range(labels.k)]
+    n, k = data.n, labels.k
+    points = data.points
+    cols_t = np.ascontiguousarray(points[np.argsort(own, kind="stable")].T)
+    bounds = np.concatenate([[0], np.cumsum(counts)])
 
     per_point = np.empty(n, dtype=np.float64)
-    # numpy sums a one-row gather pairwise but a taller one in member order,
+    # numpy sums a one-column slab pairwise but a wider one in member order,
     # so no block is left with a single row (n >= 2 once k >= 2)
     step = max(2, block_rows_for(n, data.dim))
     lo = 0
     while lo < n:
         hi = n if n - lo <= step + 1 else lo + step
-        block = _distance_block(data.points, lo, hi)
-        per_point[lo:hi] = _scores_from_block(block, own[lo:hi], counts, members)
+        dist = _sq_distances(cols_t, points[lo:hi])
+        np.sqrt(dist, out=dist)
+        sums = np.empty((k, hi - lo), dtype=np.float64)
+        for c in range(k):
+            dist[bounds[c] : bounds[c + 1]].sum(axis=0, out=sums[c])
+        per_point[lo:hi] = _scores_from_sums(sums.T, own[lo:hi], counts)
         lo = hi
 
-    sums = np.bincount(own, weights=per_point, minlength=labels.k)
+    sums = np.bincount(own, weights=per_point, minlength=k)
     per_cluster = sums / counts
     singleton_count = int(counts[counts < 2].sum())
     return SilhouetteReport(

@@ -1,6 +1,9 @@
 """Brute-force silhouette oracle, kept deliberately independent of the
 library's accumulation path: per-point loops, per-cluster masks, plain
-means. Used to pin down expected values in the tests."""
+means. Used to pin down expected values in the tests.
+
+Also the broadcast distance formula the library's per-coordinate kernel
+replaced, kept as the bitwise reference for d < 8."""
 
 import numpy as np
 
@@ -26,3 +29,17 @@ def naive_silhouette(points, labels):
         scores[i] = 0.0 if denom == 0 else (b - a) / denom
     per_cluster = np.array([scores[labels == c].mean() for c in ids])
     return scores, per_cluster, scores.mean(), per_cluster.mean()
+
+
+def broadcast_sq_distances(a, b):
+    """len(a) x len(b) squared distances from one len(a) x len(b) x d
+    difference temporary, summed over its last axis."""
+    diff = a[:, None, :] - b[None, :, :]
+    return (diff * diff).sum(-1)
+
+
+def gathered_cluster_sums(points, labels, k):
+    """n x k sums of each point's distances to every cluster, gathered
+    cluster by cluster from the full broadcast distance matrix."""
+    dist = np.sqrt(broadcast_sq_distances(points, points))
+    return np.stack([dist[:, np.flatnonzero(labels == c)].sum(axis=1) for c in range(k)], axis=1)

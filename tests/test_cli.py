@@ -128,6 +128,16 @@ def test_sampled_sweep_losing_clusters_is_one_line_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cluster_more_clusters_than_distinct_points_is_one_line_error(tmp_path, capsys):
+    data = tmp_path / "two.csv"
+    data.write_text("x,y,label\n" + "0,0,0\n" * 4 + "1,1,1\n" * 4)
+    out = tmp_path / "clusters.json"
+    assert run(["cluster", "--data", str(data), "--k", "2", "-o", str(out)]) == 0
+    assert run(["cluster", "--data", str(data), "--k", "3", "-o", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: the data has fewer than k=3 distinct points"]
+
+
 def test_env_seed_override(tmp_path, monkeypatch):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run(["gen", "blobs", "--k", "2", "--n", "20", "--seed", "1", "-o", str(a)])

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from silkit.clustering import (
     KMeansConfig,
+    _assign,
+    _min_sq_dist,
     _next_center_index,
     global_kmeanspp,
     kmeanspp_seed,
@@ -10,6 +14,8 @@ from silkit.clustering import (
 )
 from silkit.core import Dataset
 from silkit.synth import generate_blobs, separated_blobs_spec
+
+from naive import broadcast_sq_distances
 
 
 def test_lloyd_k1_is_mean_one_iteration():
@@ -59,6 +65,77 @@ def test_lloyd_repairs_empty_clusters():
     result = lloyd(data, np.array([[0.0], [0.0]]), KMeansConfig(k=2))
     assert result.labeling.k == 2
     assert len(np.unique(result.labeling.assignments)) == 2
+
+
+@pytest.mark.parametrize(
+    "points, init, expected",
+    [
+        # two clusters empty at once: they seize different points
+        ([0.0, 0.1, 50.0, 60.0], [0.0, 1000.0, 2000.0], [0, 0, 2, 1]),
+        # the second empty cluster skips the copy of the point the first took
+        ([0.0, 0.1, 50.0, 50.0], [0.0, 1000.0, 2000.0], [0, 2, 1, 1]),
+        # the farthest point is the last member of its cluster: not seized
+        ([0.0, 1.0, 2.0, 100.0], [160.0, 1.0, 1000.0], [2, 1, 1, 0]),
+    ],
+)
+def test_lloyd_repairs_empty_clusters_as_it_goes(points, init, expected):
+    data = Dataset(np.array(points)[:, None])
+    result = lloyd(data, np.array(init)[:, None], KMeansConfig(k=3))
+    assert np.isfinite(result.centers).all()
+    assert result.labeling.assignments.tolist() == expected
+
+
+TWO_POINTS = Dataset([[0.0, 0.0]] * 4 + [[1.0, 1.0]] * 4)
+
+
+def test_global_two_distinct_points_k2():
+    result = global_kmeanspp(TWO_POINTS, 2, KMeansConfig())[2]
+    assert np.isfinite(result.centers).all()
+    assert sorted(result.centers.tolist()) == [[0.0, 0.0], [1.0, 1.0]]
+    assert result.sse == 0.0
+
+
+@pytest.mark.parametrize("k_max", [3, 4, 8])
+def test_global_fewer_distinct_points_than_k_raises(k_max):
+    with pytest.raises(ValueError, match="fewer than k=3 distinct points"):
+        global_kmeanspp(TWO_POINTS, k_max, KMeansConfig())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 30),
+    values=st.integers(1, 6),
+    k=st.integers(1, 8),
+)
+def test_lloyd_valid_or_one_error_on_duplicates(seed, n, values, k):
+    # points on a coarse grid collide often; initial centers may repeat
+    assume(k <= n)
+    rng = np.random.default_rng(seed)
+    data = Dataset(rng.integers(0, values, size=(n, 2)).astype(float))
+    init = data.points[rng.integers(0, n, size=k)]
+    distinct = len(np.unique(data.points, axis=0))
+    if distinct < k:
+        with pytest.raises(ValueError, match="distinct points"):
+            lloyd(data, init, KMeansConfig(k=k))
+        return
+    result = lloyd(data, init, KMeansConfig(k=k))
+    assert np.isfinite(result.centers).all()
+    assert (result.labeling.cluster_sizes() > 0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), d=st.integers(1, 7), k=st.integers(1, 12))
+def test_assign_bit_identical_to_broadcast_formula(seed, d, k):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(scale=rng.uniform(0.1, 10.0), size=(int(rng.integers(1, 80)), d))
+    centers = rng.normal(size=(k, d))
+    centers[0] = points[0]
+    expected = broadcast_sq_distances(points, centers)
+    labels, d2 = _assign(np.ascontiguousarray(points.T), centers)
+    assert np.array_equal(d2, expected)
+    assert np.array_equal(labels, expected.argmin(axis=1))
+    assert np.array_equal(_min_sq_dist(points, centers), expected.min(axis=1))
 
 
 def test_kmeanspp_k1_uniform():

@@ -4,7 +4,8 @@ import pytest
 from silkit.core import (
     Dataset,
     Labeling,
-    _distance_block,
+    _canonicalize_with_ids,
+    _sq_distances,
     canonicalize_labels,
     dataset_stats,
     pairwise_distances,
@@ -47,15 +48,17 @@ def test_row_equals_matrix_row_bitwise():
     rng = np.random.default_rng(2)
     d = Dataset(rng.normal(size=(20, 5)))
     m = pairwise_distances(d)
+    cols_t = np.ascontiguousarray(d.points.T)
     for i in range(20):
-        assert np.array_equal(_distance_block(d.points, i, i + 1)[0], m[i])
+        assert np.array_equal(np.sqrt(_sq_distances(cols_t, d.points[i : i + 1]))[:, 0], m[i])
 
 
 def test_row_self_distance_zero():
     rng = np.random.default_rng(3)
     d = Dataset(rng.normal(size=(9, 2)))
+    cols_t = np.ascontiguousarray(d.points.T)
     for i in range(9):
-        assert _distance_block(d.points, i, i + 1)[0, i] == 0.0
+        assert _sq_distances(cols_t, d.points[i : i + 1])[i, 0] == 0.0
 
 
 def test_non_finite_rejected():
@@ -69,6 +72,12 @@ def test_canonicalize_remaps_by_first_occurrence():
     lab = canonicalize_labels([5, 5, 2, 9])
     assert lab.assignments.tolist() == [0, 0, 1, 2]
     assert lab.k == 3
+
+
+def test_canonicalize_id_map():
+    lab, ids = _canonicalize_with_ids([5, 5, 2, 9, 2])
+    assert lab.assignments.tolist() == [0, 0, 1, 2, 1]
+    assert ids.tolist() == [5, 2, 9]
 
 
 def test_canonicalize_already_canonical():

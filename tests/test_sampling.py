@@ -97,6 +97,37 @@ def test_balanced_counts_sum_property(sizes, budget_frac, seed):
         assert (alloc >= 1).all()
 
 
+def _allocation_by_single_indices(sizes, budget):
+    """The reference allocation: quotas, then the leftover budget one index
+    at a time to the cluster with the most room, ties to the smaller id."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    alloc = np.minimum(sizes, budget // len(sizes))
+    remaining = budget - int(alloc.sum())
+    while remaining > 0:
+        room = sizes - alloc
+        c = int(room.argmax())
+        if room[c] == 0:
+            break
+        alloc[c] += 1
+        remaining -= 1
+    return alloc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 300), min_size=1, max_size=12),
+    budget=st.integers(2, 4000),
+)
+def test_balanced_allocation_matches_single_index_reference(sizes, budget):
+    expected = _allocation_by_single_indices(sizes, budget)
+    assert np.array_equal(balanced_allocation(np.array(sizes), budget), expected)
+
+
+def test_balanced_allocation_one_huge_cluster():
+    alloc = balanced_allocation(np.array([1_000_000] + [100] * 50), 500_000)
+    assert alloc.tolist() == [495_000] + [100] * 50
+
+
 def test_balanced_deterministic():
     data, labels = blob_instance()
     a = balanced_sample(data, labels, SampleSpec("balanced", 30, 5))
@@ -117,9 +148,13 @@ def test_sample_drops_absent_clusters():
 
 def test_micro_weighted_matches_full_when_sample_is_everything():
     data, labels = blob_instance(k=3, n=20)
-    result = balanced_sample(data, labels, SampleSpec("balanced", data.n, 1))
-    full = full_report(data, labels)
-    assert result.micro_weighted == pytest.approx(full.micro, abs=1e-12)
+    # unequal clusters whose first rows come in id order 2, 0, 1
+    rng = np.random.default_rng(11)
+    shuffled = Labeling(np.repeat([2, 0, 1], [3, 10, 5]), k=3)
+    for data, labels in [(data, labels), (Dataset(rng.normal(size=(18, 2))), shuffled)]:
+        result = balanced_sample(data, labels, SampleSpec("balanced", data.n, 1))
+        full = full_report(data, labels)
+        assert result.micro_weighted == pytest.approx(full.micro, abs=1e-12)
 
 
 def test_tukey_whiskers_plain():

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from silkit import silhouette
 from silkit.core import Dataset, Labeling, canonicalize_labels
 from silkit.silhouette import SilhouetteUndefinedError, full_report
 
-from naive import naive_silhouette
+from naive import gathered_cluster_sums, naive_silhouette
 
 # two tight pairs far apart: points 0,1 in one cluster, 10,11 in the other
 PAIRS = Dataset([[0.0], [1.0], [10.0], [11.0]])
@@ -168,6 +170,49 @@ def test_full_report_block_heights_bit_identical(monkeypatch):
         assert np.allclose(runs[0].per_point, s, rtol=0, atol=1e-12)
         assert runs[0].micro == pytest.approx(micro, abs=1e-12)
         assert runs[0].macro == pytest.approx(macro, abs=1e-12)
+
+
+def _kernel_instance(seed, d, height_frac):
+    """Random instance (duplicates and singleton clusters included) and a
+    block height between 2 and n."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 60))
+    k = int(rng.integers(2, min(6, n) + 1))
+    pts = rng.normal(scale=rng.uniform(0.1, 10.0), size=(n, d))
+    if seed % 3 == 0:
+        pts[: n // 3] = pts[-1]
+    raw = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    if seed % 4 == 0:
+        raw[raw == k - 1] = 0
+        raw[-1] = k - 1
+    rng.shuffle(raw)
+    height = 2 + int(height_frac * (n - 2))
+    return Dataset(pts), canonicalize_labels(raw), height
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), d=st.integers(1, 7), height_frac=st.floats(0.0, 1.0))
+def test_full_report_bit_identical_to_broadcast_formula(seed, d, height_frac):
+    # below 8 coordinates the kernel adds them in numpy's own order, and a
+    # slab sum runs in member order like a gathered one
+    data, labels, height = _kernel_instance(seed, d, height_frac)
+    with mock.patch.object(silhouette, "block_rows_for", lambda n, dim: height):
+        report = full_report(data, labels)
+    own, counts = labels.assignments, labels.cluster_sizes()
+    sums = gathered_cluster_sums(data.points, own, labels.k)
+    assert np.array_equal(report.per_point, silhouette._scores_from_sums(sums, own, counts))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), d=st.integers(8, 30), height_frac=st.floats(0.0, 1.0))
+def test_full_report_matches_oracle_high_dim(seed, d, height_frac):
+    data, labels, height = _kernel_instance(seed, d, height_frac)
+    with mock.patch.object(silhouette, "block_rows_for", lambda n, dim: height):
+        report = full_report(data, labels)
+    s, _, micro, macro = naive_silhouette(data.points, labels.assignments)
+    assert np.allclose(report.per_point, s, rtol=0, atol=1e-12)
+    assert report.micro == pytest.approx(micro, abs=1e-12)
+    assert report.macro == pytest.approx(macro, abs=1e-12)
 
 
 def test_scores_in_range_random():

@@ -4,7 +4,26 @@ incremental global variant that grows solutions one cluster at a time.
 Everything is deterministic given the config seed. Assignment ties break
 toward the smaller center index; empty clusters are repaired by seizing the
 point currently farthest from its assigned center, or, when the data has
-fewer than k distinct points, raise ValueError.
+fewer than k distinct points, raise ValueError. A center is its members'
+coordinate sums in index order (``np.bincount``) over its size: for d >= 2
+the bits of their axis-0 mean.
+
+Lloyd skips points by Hamerly's bounds (*Making k-means even faster*, SDM
+2010) and no result depends on them. After an update a point keeps its
+label if u + delta < max(s, l): u is its distance to its center (from the
+squares the SSE sums), s half that center's distance to its nearest other,
+l its last full row's second-nearest distance less the largest center shift
+of each update since. Other points get full rows from the kernel of a full
+assignment (same bits, ties to the smaller id). The first assignment, and
+any that empties a cluster, is full, feeds the repair and resets every l.
+Why that is exact: every distance in play is below R, the diagonal of the
+box around the points and initial centers widened by how far rounding can
+carry a mean out of it. Computed distances are within (d/2 + 2) 2**-53 R and
+each update's subtraction from l rounds once, so after T updates the test's
+floats are off by under (3d + T + 11) 2**-53 R. delta = (3d + max_iters + 16)
+2**-40 R is 8,192 times that: a kept point's center is nearer than any other
+by more than the kernel's rounding, so a full row gives the same label,
+untied. Points within delta of a tie are always recomputed.
 """
 
 from __future__ import annotations
@@ -46,10 +65,14 @@ class KMeansConfig:
 
 @dataclass(frozen=True)
 class KMeansResult:
+    """``converged`` (not in the JSON form) is False only when ``max_iters``
+    ran out with labels still moving and SSE still improving by over tol."""
+
     centers: np.ndarray
     labeling: Labeling
     sse: float
     iterations: int
+    converged: bool
 
     def to_dict(self) -> dict:
         return {
@@ -64,18 +87,20 @@ class KMeansResult:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _assign(points_t: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-center labels (ties -> smaller index) and N x k squared distances."""
-    d2 = _sq_distances(points_t, centers)
+def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-center labels (ties -> smaller index) and N x k squared distances,
+    a view of a k x N buffer so that a min over centers runs down its rows."""
+    d2 = _sq_distances(np.ascontiguousarray(centers.T), points).T
     return d2.argmin(axis=1), d2
 
 
 def _repair_empty(points: np.ndarray, centers: np.ndarray, labels: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """Give each empty cluster, in id order, the point farthest from its
     nearest center (never a last member) and move its center onto that point,
-    in place. Sizes and distances update as it goes, so two empty clusters
-    never seize the same point or coinciding ones. A farthest point at
-    distance 0 means fewer distinct points than k: ValueError."""
+    in place, rewriting that center's column of ``d2``. Sizes and distances
+    update as it goes, so two empty clusters never seize the same point or
+    coinciding ones. A farthest point at distance 0 means fewer distinct
+    points than k: ValueError."""
     sizes = np.bincount(labels, minlength=len(centers))
     if sizes.all():
         return labels
@@ -89,13 +114,23 @@ def _repair_empty(points: np.ndarray, centers: np.ndarray, labels: np.ndarray, d
         sizes[c] += 1
         labels[far] = c
         centers[c] = points[far]
-        far_d2 = np.minimum(far_d2, _sq_distances(centers[c][:, None], points)[0])
+        d2[:, c] = _sq_distances(centers[c][:, None], points)[0]
+        far_d2 = np.minimum(far_d2, d2[:, c])
     return labels
 
 
+def _full_step(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Assign and repair, with each point's distance to its nearest other center."""
+    labels, d2 = _assign(points, centers)
+    labels = _repair_empty(points, centers, labels, d2)
+    d2[np.arange(len(labels)), labels] = np.inf
+    return labels, np.sqrt(d2.min(axis=1))
+
+
 def lloyd(data: Dataset, initial_centers: np.ndarray, config: KMeansConfig) -> KMeansResult:
-    """Alternate assignment and mean updates until the SSE improvement
-    falls below ``tol`` (relative) or ``max_iters`` is reached."""
+    """Alternate assignment and mean updates until the labels stop changing,
+    the SSE improvement falls below ``tol`` (relative), or ``max_iters``
+    updates have run; the bounds only pick which points to reassign."""
     points = data.points
     points_t = np.ascontiguousarray(points.T)
     centers = np.array(initial_centers, dtype=np.float64, copy=True)
@@ -105,29 +140,45 @@ def lloyd(data: Dataset, initial_centers: np.ndarray, config: KMeansConfig) -> K
     if k > data.n:
         raise ValueError(f"k={k} exceeds the number of points {data.n}")
 
+    # delta of the module docstring: rounding moves a mean < n ulps of its largest coordinate
+    lo = np.minimum(points_t.min(axis=1), centers.min(axis=0))
+    hi = np.maximum(points_t.max(axis=1), centers.max(axis=0))
+    reach = np.sqrt(((hi - lo) ** 2).sum()) + 2 * data.dim**0.5 * data.n * 2.0**-52 * np.maximum(-lo, hi).max()
+    delta = (3 * data.dim + config.max_iters + 16) * 2.0**-40 * reach
+    labels, lower = _full_step(points, centers)
+    sizes = np.bincount(labels, minlength=k)
     prev_sse = None
-    labels = None
     iterations = 0
-    while iterations < config.max_iters:
-        new_labels, d2 = _assign(points_t, centers)
-        new_labels = _repair_empty(points, centers, new_labels, d2)
-        if labels is not None and np.array_equal(new_labels, labels):
-            break  # fixpoint: centers are already the means of these clusters
-        labels = new_labels
+    while True:
         iterations += 1
-        for c in range(k):
-            centers[c] = points[labels == c].mean(axis=0)
-        sse = float(((points - centers[labels]) ** 2).sum())
-        if prev_sse is not None and prev_sse - sse <= config.tol * prev_sse:
-            break
+        sums = [np.bincount(labels, weights=col, minlength=k) for col in points_t]
+        old, centers = centers, np.stack(sums, axis=1) / sizes[:, None]
+        sq = (points - np.take(centers, labels, axis=0)) ** 2
+        sse = float(sq.sum())
+        tol_met = prev_sse is not None and prev_sse - sse <= config.tol * prev_sse
         prev_sse = sse
-
-    # return a consistent pair: labels are nearest-assignments against the
-    # returned centers, a repaired cluster's center sits on its one point
-    final_labels, d2 = _assign(points_t, centers)
-    final_labels = _repair_empty(points, centers, final_labels, d2)
-    sse = float(((points - centers[final_labels]) ** 2).sum())
-    return KMeansResult(centers, Labeling(final_labels, k), sse, max(iterations, 1))
+        lower -= np.sqrt(((centers - old) ** 2).sum(axis=1)).max()
+        between = _sq_distances(np.ascontiguousarray(centers.T), centers)
+        np.fill_diagonal(between, np.inf)
+        keep_below = np.maximum(0.5 * np.sqrt(between.min(axis=1))[labels], lower)
+        near = np.flatnonzero(np.sqrt(np.einsum("ij->i", sq)) + delta >= keep_below)
+        d2 = _sq_distances(points_t[:, near], centers)
+        moved = d2.argmin(axis=1)
+        d2[np.arange(len(near)), moved] = np.inf
+        lower[near] = np.sqrt(d2.min(axis=1))
+        if np.array_equal(moved, labels[near]):
+            converged = True  # fixpoint: sse and centers already belong to these labels
+            break
+        labels[near] = moved
+        sizes = np.bincount(labels, minlength=k)
+        if not sizes.all():
+            labels, lower = _full_step(points, centers)
+            sizes = np.bincount(labels, minlength=k)
+        if tol_met or iterations == config.max_iters:
+            converged = tol_met
+            sse = float(((points - np.take(centers, labels, axis=0)) ** 2).sum())
+            break
+    return KMeansResult(centers, Labeling(labels, k), sse, iterations, converged)
 
 
 def _min_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -178,7 +229,7 @@ def global_kmeanspp(data: Dataset, k_max: int, config: KMeansConfig) -> dict[int
 
     mean = points.mean(axis=0)[None, :]
     sse1 = float(((points - mean[0]) ** 2).sum())
-    results = {1: KMeansResult(mean, Labeling(np.zeros(data.n, dtype=np.int64), 1), sse1, 1)}
+    results = {1: KMeansResult(mean, Labeling(np.zeros(data.n, dtype=np.int64), 1), sse1, 1, True)}
 
     for k in range(2, k_max + 1):
         base = results[k - 1].centers

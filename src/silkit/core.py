@@ -78,10 +78,9 @@ class Labeling:
             raise ValueError("assignments must be a non-empty 1-D sequence")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        present = np.unique(arr)
-        if present[0] < 0 or present[-1] >= self.k or len(present) != self.k:
+        if arr.min() < 0 or arr.max() >= self.k or not np.bincount(arr, minlength=self.k).all():
             raise ValueError(
-                f"assignments must use exactly the ids 0..{self.k - 1}; found {present}"
+                f"assignments must use exactly the ids 0..{self.k - 1}; found {np.unique(arr)}"
             )
         arr.setflags(write=False)
         object.__setattr__(self, "assignments", arr)

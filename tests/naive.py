@@ -3,7 +3,8 @@ library's accumulation path: per-point loops, per-cluster masks, plain
 means. Used to pin down expected values in the tests.
 
 Also the broadcast distance formula the library's per-coordinate kernel
-replaced, kept as the bitwise reference for d < 8."""
+replaced, kept as the bitwise reference for d < 8, and the unbounded Lloyd
+loop, kept as the bitwise reference for the bounded one."""
 
 import numpy as np
 
@@ -43,3 +44,33 @@ def gathered_cluster_sums(points, labels, k):
     cluster by cluster from the full broadcast distance matrix."""
     dist = np.sqrt(broadcast_sq_distances(points, points))
     return np.stack([dist[:, np.flatnonzero(labels == c)].sum(axis=1) for c in range(k)], axis=1)
+
+
+def reference_lloyd(points, initial_centers, max_iters, tol):
+    """The Lloyd loop the bounded one replaced: a full assignment every
+    iteration, one masked mean per cluster, and a trailing assignment.
+    Returns centers, labels, SSE and iterations."""
+    from silkit.clustering import _assign, _repair_empty
+
+    points = np.asarray(points, dtype=np.float64)
+    centers = np.array(initial_centers, dtype=np.float64, copy=True)
+    prev_sse = None
+    labels = None
+    iterations = 0
+    while iterations < max_iters:
+        new_labels, d2 = _assign(points, centers)
+        new_labels = _repair_empty(points, centers, new_labels, d2)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        iterations += 1
+        for c in range(len(centers)):
+            centers[c] = points[labels == c].mean(axis=0)
+        sse = float(((points - centers[labels]) ** 2).sum())
+        if prev_sse is not None and prev_sse - sse <= tol * prev_sse:
+            break
+        prev_sse = sse
+    final_labels, d2 = _assign(points, centers)
+    final_labels = _repair_empty(points, centers, final_labels, d2)
+    sse = float(((points - centers[final_labels]) ** 2).sum())
+    return centers, final_labels, sse, iterations

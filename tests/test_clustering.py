@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from silkit import clustering
 from silkit.clustering import (
     KMeansConfig,
     _assign,
@@ -15,7 +16,7 @@ from silkit.clustering import (
 from silkit.core import Dataset
 from silkit.synth import generate_blobs, separated_blobs_spec
 
-from naive import broadcast_sq_distances
+from naive import broadcast_sq_distances, reference_lloyd
 
 
 def test_lloyd_k1_is_mean_one_iteration():
@@ -85,6 +86,129 @@ def test_lloyd_repairs_empty_clusters_as_it_goes(points, init, expected):
     assert result.labeling.assignments.tolist() == expected
 
 
+def _lloyd_case(seed, d, kind):
+    """Points and initial centers (some repeated or off the data) of one kind:
+    continuous, few distinct points, an integer grid at a large offset, or
+    integer steps along a random line, where exact ties are common and the
+    triangle inequality behind the bounds holds with equality."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 80))
+    if kind == "continuous":
+        points = rng.normal(size=(n, d)) * 10 ** rng.uniform(-7, 6)
+    elif kind == "duplicates":
+        distinct = rng.normal(size=(int(rng.integers(1, 8)), d))
+        points = distinct[rng.integers(0, len(distinct), size=n)]
+    elif kind == "grid":
+        points = rng.integers(0, 5, size=(n, d)) * 10.0 ** rng.integers(-3, 4) + rng.choice([0.0, 1e8, -3e5])
+    else:
+        points = rng.integers(-4, 5, size=(n, 1)) * rng.normal(size=d)
+    k = int(rng.integers(1, min(n, 12) + 1))
+    init = points[rng.integers(0, n, size=k)]
+    if rng.random() < 0.25:
+        init = init + rng.normal(size=init.shape) * np.ptp(points, axis=0)
+    return points, init
+
+
+KINDS = st.sampled_from(["continuous", "duplicates", "grid", "line"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 13),
+    kind=KINDS,
+    tol=st.sampled_from([0.0, 1e-6]),
+    max_iters=st.sampled_from([1, 2, 5, 300]),
+)
+def test_lloyd_bit_identical_to_reference(seed, d, kind, tol, max_iters):
+    points, init = _lloyd_case(seed, d, kind)
+    data, config = Dataset(points), KMeansConfig(k=len(init), max_iters=max_iters, tol=tol)
+    try:
+        centers, labels, sse, iterations = reference_lloyd(points, init, max_iters, tol)
+    except ValueError:
+        with pytest.raises(ValueError, match="distinct points"):
+            lloyd(data, init, config)
+        return
+    result = lloyd(data, init, config)
+    assert np.array_equal(result.centers, centers)
+    assert np.array_equal(result.labeling.assignments, labels)
+    assert result.sse == sse
+    assert result.iterations == iterations
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=KINDS,
+    tol=st.sampled_from([0.0, 1e-6]),
+    max_iters=st.sampled_from([1, 2, 5, 300]),
+)
+def test_lloyd_one_dim_matches_reference(seed, kind, tol, max_iters):
+    # for d = 1 the masked mean sums pairwise and bincount in index order, so
+    # centers move in the last ulp and can flip an exact tie; a zero second
+    # column makes the reference sum in index order with the same distances
+    points, init = _lloyd_case(seed, 1, kind)
+    data, config = Dataset(points), KMeansConfig(k=len(init), max_iters=max_iters, tol=tol)
+    padded = [np.hstack([a, np.zeros_like(a)]) for a in (points, init)]
+    try:
+        centers, labels, sse, iterations = reference_lloyd(*padded, max_iters, tol)
+    except ValueError:
+        with pytest.raises(ValueError, match="distinct points"):
+            lloyd(data, init, config)
+        return
+    result = lloyd(data, init, config)
+    assert np.array_equal(result.centers[:, 0], centers[:, 0])
+    assert np.array_equal(result.labeling.assignments, labels)
+    assert result.sse == pytest.approx(sse, rel=1e-12, abs=1e-300)
+    assert result.iterations == iterations
+    if kind == "continuous":
+        centers, labels, sse, iterations = reference_lloyd(points, init, max_iters, tol)
+        assert np.abs(result.centers - centers).max() <= 1e-12 * np.abs(points).max()
+        assert np.array_equal(result.labeling.assignments, labels)
+        assert result.iterations == iterations
+
+
+def test_lloyd_tie_after_centers_move_goes_to_smaller_id():
+    # on the line t * (1, 5) the centers start at t = -3 and 0 and reach
+    # t = -1.5 and 1.5 in the second update: the points at t = 0, labelled 1
+    # until then, are exactly as far from both and must go to 0. Their lower
+    # bound to center 0, sqrt(234) - sqrt(26) - sqrt(6.5), rounds one ulp
+    # above their distance sqrt(58.5) to center 1; only delta catches that
+    t = np.array([-2.0, -1.0, 0.0, 0.0, 2.0, 4.0])
+    data = Dataset(t[:, None] * np.array([1.0, 5.0]))
+    result = lloyd(data, np.array([[-3.0, -15.0], [0.0, 0.0]]), KMeansConfig(k=2))
+    assert result.labeling.assignments.tolist() == [0, 0, 0, 0, 1, 1]
+    assert result.centers.tolist() == [[-0.75, -3.75], [3.0, 15.0]]
+
+
+def test_lloyd_converged_flag():
+    rng = np.random.default_rng(12)
+    data = Dataset(rng.normal(size=(200, 2)))
+    init = data.points[:6]
+    assert lloyd(data, init, KMeansConfig(k=6)).converged
+    short = lloyd(data, init, KMeansConfig(k=6, max_iters=1, tol=0.0))
+    assert short.iterations == 1
+    assert not short.converged
+    assert "converged" not in short.to_dict()
+    results = global_kmeanspp(data, 3, KMeansConfig(k=3, rng_seed=0))
+    assert all(result.converged for result in results.values())
+
+
+def test_global_calls_lloyd_by_name_per_candidate(monkeypatch):
+    # the benchmark times clustering.lloyd by wrapping this module attribute
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lloyd(*args, **kwargs)
+
+    monkeypatch.setattr(clustering, "lloyd", counting)
+    rng = np.random.default_rng(13)
+    data = Dataset(rng.normal(size=(60, 2)))
+    global_kmeanspp(data, 6, KMeansConfig(k=6, n_candidates=4, rng_seed=0))
+    assert len(calls) == 4 * (6 - 1)
+
+
 TWO_POINTS = Dataset([[0.0, 0.0]] * 4 + [[1.0, 1.0]] * 4)
 
 
@@ -132,7 +256,7 @@ def test_assign_bit_identical_to_broadcast_formula(seed, d, k):
     centers = rng.normal(size=(k, d))
     centers[0] = points[0]
     expected = broadcast_sq_distances(points, centers)
-    labels, d2 = _assign(np.ascontiguousarray(points.T), centers)
+    labels, d2 = _assign(points, centers)
     assert np.array_equal(d2, expected)
     assert np.array_equal(labels, expected.argmin(axis=1))
     assert np.array_equal(_min_sq_dist(points, centers), expected.min(axis=1))

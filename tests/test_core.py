@@ -103,10 +103,12 @@ def test_canonicalize_idempotent():
 
 
 def test_labeling_rejects_gaps():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"exactly the ids 0..2; found \[0 2\]$"):
         Labeling(np.array([0, 2]), k=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"found \[0 1\]$"):
         Labeling(np.array([0, 1]), k=1)
+    with pytest.raises(ValueError, match=r"found \[-1  0  1\]$"):
+        Labeling(np.array([1, -1, 0]), k=2)
 
 
 def test_stats_balanced():

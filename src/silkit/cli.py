@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -109,12 +110,18 @@ def _load_dataset(args) -> Dataset:
 
 def _load_labels(args, data: Dataset) -> Labeling:
     if args.labels:
-        raw = np.loadtxt(args.labels, dtype=np.int64, ndmin=1)
+        with warnings.catch_warnings():
+            # an empty file is reported below, as a file with 0 entries
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                raw = np.loadtxt(args.labels, dtype=np.int64, ndmin=1)
+            except ValueError as exc:
+                raise ValueError(f"label file {args.labels}: {exc}") from None
         if len(raw) != data.n:
-            raise SystemExit(f"label file has {len(raw)} entries for {data.n} rows")
+            raise ValueError(f"label file has {len(raw)} entries for {data.n} rows")
         return canonicalize_labels(raw)
     if data.truth_labels is None:
-        raise SystemExit("dataset has no label column; pass --labels")
+        raise ValueError("dataset has no label column; pass --labels")
     return canonicalize_labels(data.truth_labels)
 
 
@@ -181,7 +188,7 @@ def cmd_score(args) -> int:
             payload["report"] = None  # silhouette undefined: data, not failure
     else:
         try:
-            payload["report"] = full_report(data, labels).to_dict()
+            payload["report"] = full_report(data, labels, _threads(args.threads)).to_dict()
         except SilhouetteUndefinedError as exc:
             raise SystemExit(f"cannot score: {exc}") from None
     _write_json(args.output, payload)
@@ -346,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"silkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # flags shared by every leaf command, by the dataset readers, and by the studies
+    # flags shared by every leaf command, by the dataset readers, and by the
+    # threaded commands (score and the studies)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("-o", "--output", required=True)
@@ -355,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     dataset.add_argument("--schema", help="schema config JSON for preprocessing a raw CSV")
     dataset.add_argument("--prepared-out", help="write the preprocessed dataset CSV here for audit")
     study = argparse.ArgumentParser(add_help=False)
-    study.add_argument("--threads", type=int)
+    study.add_argument(
+        "--threads", type=int, help="worker threads (default: all cores); outputs do not depend on it"
+    )
 
     gen = sub.add_parser("gen", help="generate synthetic datasets")
     gen_sub = gen.add_subparsers(dest="generator", required=True)
@@ -375,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     blobs.set_defaults(func=cmd_gen)
 
     score = sub.add_parser(
-        "score", parents=[common, dataset], help="silhouette report for a labeled dataset"
+        "score", parents=[common, dataset, study], help="silhouette report for a labeled dataset"
     )
     score.add_argument("--labels", help="optional label file overriding the CSV label column")
     score.add_argument("--sample", type=int, help="score a subsample of this size")

@@ -182,7 +182,9 @@ def lloyd(data: Dataset, initial_centers: np.ndarray, config: KMeansConfig) -> K
 
 
 def _min_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return _sq_distances(np.ascontiguousarray(points.T), centers).min(axis=1)
+    """Squared distance from each point to its nearest center, the min taken
+    down the rows of a k x N buffer as in ``_assign``."""
+    return _sq_distances(np.ascontiguousarray(centers.T), points).min(axis=0)
 
 
 def _next_center_index(points: np.ndarray, centers: np.ndarray, rng: np.random.Generator) -> int:

@@ -109,16 +109,23 @@ class DatasetStats:
     bounding_box: tuple[tuple[float, float], ...] = field(default=())
 
 
-def _sq_distances(cols_t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _sq_distances(cols_t: np.ndarray, rows: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """m x r squared Euclidean distances from m column points, given as their
     C-contiguous d x m transpose, to the r x d row points: one coordinate at a
     time into an m x r buffer (subtract, square in place, add), with no gram
     shortcut, so nearby points keep their precision. Coordinates add in order
     from 0, as numpy sums a last axis shorter than 8, so for d < 8 these are
-    the bits of ``(diff * diff).sum(-1)``."""
-    out = np.subtract.outer(cols_t[0], rows[:, 0])
+    the bits of ``(diff * diff).sum(-1)``. A caller that streams many blocks
+    can pass a flat float64 ``work`` array of at least 2 m r elements to hold
+    the two buffers, so it allocates (and page-faults) them once; the result
+    is then a view of ``work``."""
+    m, r = cols_t.shape[1], len(rows)
+    if work is None:
+        out, buf = np.empty((m, r)), np.empty((m, r))
+    else:
+        out, buf = work[: m * r].reshape(m, r), work[m * r : 2 * m * r].reshape(m, r)
+    np.subtract.outer(cols_t[0], rows[:, 0], out=out)
     np.multiply(out, out, out=out)
-    buf = np.empty_like(out)
     for j in range(1, len(cols_t)):
         np.subtract.outer(cols_t[j], rows[:, j], out=buf)
         out += np.multiply(buf, buf, out=buf)
@@ -127,7 +134,9 @@ def _sq_distances(cols_t: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def block_rows_for(n: int, dim: int, target_bytes: int = 1 << 24) -> int:
     """Rows r per block, keeping the kernel's two n x r float64 buffers plus
-    the r x dim rows near target_bytes (2-core Xeon: 8 MB buffers beat 32 MB)."""
+    the r x dim rows near target_bytes (2-core Xeon: 8 MB buffers beat 32 MB).
+    A caller that scores blocks on t threads at once uses r // t rows per
+    block, so the t blocks in flight stay within the same bound."""
     rows = max(1, target_bytes // ((2 * n + dim) * 8))
     return int(min(rows, n))
 

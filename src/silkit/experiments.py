@@ -87,7 +87,9 @@ def nucleus_study(
     seed and draw order at every size) and excludes the nucleus label, so
     the nucleus cluster stays pure while it grows: its mean silhouette, and
     therefore the macro average, is flat across sizes, while the micro
-    average rises with the nucleus share of the points.
+    average rises with the nucleus share of the points. The sizes run in
+    turn, each scored on ``threads`` threads: the largest size is most of
+    the work, so a pool over sizes would leave threads idle.
     """
     k = len(imbalance_demo_spec(points_per_cluster, seed).centers)
 
@@ -100,8 +102,8 @@ def nucleus_study(
             np.random.default_rng(seed + _RANDOMIZE_OFFSET),
             allow_kept_label=False,
         )
-        rand_report = full_report(data, randomized)
-        truth_report = full_report(data, truth)
+        rand_report = full_report(data, randomized, threads)
+        truth_report = full_report(data, truth, threads)
         return NucleusStudyRow(
             nucleus_size=size,
             micro_randomized=rand_report.micro,
@@ -110,7 +112,7 @@ def nucleus_study(
             macro_truth=truth_report.macro,
         )
 
-    return _parallel_map(one, sizes, threads)
+    return [one(size) for size in sizes]
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,7 @@ def sample_study(
     """Monte Carlo comparison of uniform vs cluster-balanced sampling on
     the imbalance demo dataset, against the full-dataset score."""
     data, labels = imbalance_dataset(nucleus_total, seed=seed)
-    report = full_report(data, labels)
+    report = full_report(data, labels, threads)
     full_score = report.macro if statistic == "macro" else report.micro
     cells = monte_carlo_study(
         data,

@@ -15,11 +15,12 @@ Conventions (degenerate cases):
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Labeling, _sq_distances, block_rows_for
+from .core import Dataset, Labeling, _parallel_map, _sq_distances, block_rows_for
 
 __all__ = ["SilhouetteUndefinedError", "SilhouetteReport", "full_report"]
 
@@ -68,13 +69,17 @@ def _scores_from_sums(sums: np.ndarray, own: np.ndarray, counts: np.ndarray) -> 
     return s
 
 
-def full_report(data: Dataset, labels: Labeling) -> SilhouetteReport:
+def full_report(data: Dataset, labels: Labeling, threads: int | None = None) -> SilhouetteReport:
     """Complete silhouette report for a labeled dataset.
 
     Streams blocks of rows (O(N x block) memory, see ``block_rows_for``)
     against columns sorted by cluster, so a row's distances to a cluster are
     one slab, summed in member order whatever block the row lands in: the
-    result does not depend on the block height.
+    result does not depend on the block height. With ``threads`` > 1 the
+    blocks are scored on that many threads, each block ``1/threads`` of the
+    serial height, so all threads together hold the serial block's buffer
+    memory. Each block writes only its own rows, so the result does not
+    depend on the thread count either; None or 1 scores serially.
     """
     if labels.n != data.n:
         raise ValueError("labeling length does not match dataset")
@@ -88,19 +93,28 @@ def full_report(data: Dataset, labels: Labeling) -> SilhouetteReport:
     bounds = np.concatenate([[0], np.cumsum(counts)])
 
     per_point = np.empty(n, dtype=np.float64)
+    workers = max(threads or 1, 1)
     # numpy sums a one-column slab pairwise but a wider one in member order,
     # so no block is left with a single row (n >= 2 once k >= 2)
-    step = max(2, block_rows_for(n, data.dim))
-    lo = 0
-    while lo < n:
-        hi = n if n - lo <= step + 1 else lo + step
-        dist = _sq_distances(cols_t, points[lo:hi])
+    step = max(2, block_rows_for(n, data.dim) // workers)
+    starts = list(range(0, n, step))
+    if n - starts[-1] == 1:
+        starts.pop()
+    # each thread allocates its kernel buffers once, for the tallest block
+    local = threading.local()
+
+    def score_block(block: tuple[int, int]) -> None:
+        lo, hi = block
+        if not hasattr(local, "work"):
+            local.work = np.empty(2 * n * min(step + 1, n))
+        dist = _sq_distances(cols_t, points[lo:hi], local.work)
         np.sqrt(dist, out=dist)
         sums = np.empty((k, hi - lo), dtype=np.float64)
         for c in range(k):
             dist[bounds[c] : bounds[c + 1]].sum(axis=0, out=sums[c])
         per_point[lo:hi] = _scores_from_sums(sums.T, own[lo:hi], counts)
-        lo = hi
+
+    _parallel_map(score_block, zip(starts, starts[1:] + [n]), threads)
 
     sums = np.bincount(own, weights=per_point, minlength=k)
     per_cluster = sums / counts

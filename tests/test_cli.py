@@ -51,6 +51,39 @@ def test_score_balanced_toy(tmp_path):
     assert payload["config"]["command"] == "score"
 
 
+def test_score_byte_identical_across_threads(tmp_path):
+    data = tmp_path / "blobs.csv"
+    run(["gen", "blobs", "--k", "3", "--n", "200", "--seed", "2", "-o", str(data)])
+    outs = []
+    for threads in (1, 3):
+        out = tmp_path / f"report_{threads}.json"
+        assert run(["score", "--data", str(data), "--threads", str(threads), "-o", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0\n1\n", "label file has 2 entries for 60 rows"),
+        ("", "label file has 0 entries for 60 rows"),
+        ("0\n1.5\n", "could not convert string '1.5' to int64"),
+    ],
+    ids=["short", "empty", "non-integer"],
+)
+def test_score_bad_label_file_is_one_line_error(tmp_path, capsys, text, message):
+    data = tmp_path / "blobs.csv"
+    run(["gen", "blobs", "--k", "2", "--n", "30", "--seed", "1", "-o", str(data)])
+    labels = tmp_path / "labels.txt"
+    labels.write_text(text)
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    assert run(["score", "--data", str(data), "--labels", str(labels), "-o", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not out.exists()
+
+
 def test_score_sampled_balanced_always_defined(tmp_path):
     data = tmp_path / "nuc.csv"
     run(["gen", "blobs", "--k", "12", "--n", "50", "--nucleus-extra", "500",

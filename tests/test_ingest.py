@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from silkit.core import Dataset, Labeling
 from silkit.ingest import (
@@ -202,3 +205,26 @@ def test_dataset_csv_roundtrip(tmp_path):
     assert np.array_equal(back.points, data.points)
     assert np.array_equal(back.truth_labels, data.truth_labels)
     assert path.read_text().startswith("# seed=7\n")
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    points=st.integers(1, 12).flatmap(
+        lambda n: arrays(
+            np.float64,
+            st.tuples(st.just(n), st.integers(1, 4)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    ),
+    data=st.data(),
+)
+def test_dataset_csv_roundtrip_exact(tmp_path_factory, points, data):
+    # repr writes the shortest string that reads back as the same float, so
+    # every value (signed zero, subnormals, extremes) and label survives
+    n = len(points)
+    labels = data.draw(arrays(np.int64, n, elements=st.integers(-(2**63), 2**63 - 1)))
+    path = tmp_path_factory.mktemp("roundtrip") / "data.csv"
+    write_dataset_csv(path, Dataset(points, truth_labels=labels))
+    back = read_dataset_csv(path)
+    assert back.points.tobytes() == points.tobytes()
+    assert np.array_equal(back.truth_labels, labels)

@@ -1,3 +1,4 @@
+import sys
 from unittest import mock
 
 import numpy as np
@@ -170,6 +171,35 @@ def test_full_report_block_heights_bit_identical(monkeypatch):
         assert np.allclose(runs[0].per_point, s, rtol=0, atol=1e-12)
         assert runs[0].micro == pytest.approx(micro, abs=1e-12)
         assert runs[0].macro == pytest.approx(macro, abs=1e-12)
+
+
+def test_full_report_threads_bit_identical(monkeypatch):
+    # each block writes only its own rows, so the thread count (and the block
+    # height it implies) cannot change a bit of any output
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        data, labels = _random_instance(rng, n_max=120)
+        for height in (2, 7, data.n - 1):
+            monkeypatch.setattr(silhouette, "block_rows_for", lambda n, dim, h=height: h)
+            runs = [full_report(data, labels, threads) for threads in (1, 2, 3)]
+            for report in runs[1:]:
+                assert report.per_point.tobytes() == runs[0].per_point.tobytes()
+                assert report.per_cluster.tobytes() == runs[0].per_cluster.tobytes()
+                assert report.micro == runs[0].micro and report.macro == runs[0].macro
+    # stress: blocks big enough for numpy to drop the interpreter lock, more
+    # threads than cores, and frequent thread switches
+    data, labels = _random_instance(rng, n_max=120)
+    data = Dataset(np.tile(data.points, (20, 1)) + rng.normal(scale=1e-3, size=(20 * data.n, data.dim)))
+    labels = canonicalize_labels(np.tile(labels.assignments, 20))
+    monkeypatch.setattr(silhouette, "block_rows_for", lambda n, dim: 64)
+    serial = full_report(data, labels).per_point
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert full_report(data, labels, 8).per_point.tobytes() == serial.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _kernel_instance(seed, d, height_frac):

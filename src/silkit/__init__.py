@@ -4,15 +4,8 @@ estimation."""
 
 __version__ = "0.1.0"
 
-from .clustering import KMeansConfig, KMeansResult, global_kmeanspp, kmeanspp_seed, lloyd
-from .core import (
-    Dataset,
-    DatasetStats,
-    Labeling,
-    canonicalize_labels,
-    dataset_stats,
-    pairwise_distances,
-)
+from .clustering import KMeansConfig, KMeansResult, global_kmeanspp, lloyd
+from .core import Dataset, Labeling, canonicalize_labels, pairwise_distances
 from .kselect import SweepResult, SweepRow, estimate_k, sweep
 from .sampling import (
     MonteCarloCell,
@@ -39,10 +32,8 @@ __all__ = [
     "__version__",
     "Dataset",
     "Labeling",
-    "DatasetStats",
     "pairwise_distances",
     "canonicalize_labels",
-    "dataset_stats",
     "SilhouetteReport",
     "SilhouetteUndefinedError",
     "full_report",
@@ -55,7 +46,6 @@ __all__ = [
     "KMeansConfig",
     "KMeansResult",
     "lloyd",
-    "kmeanspp_seed",
     "global_kmeanspp",
     "SweepRow",
     "SweepResult",

@@ -10,7 +10,6 @@ the file byte for byte. The SIL_SEED environment variable overrides --seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -31,17 +30,17 @@ from .experiments import (
 )
 from .ingest import (
     ColumnSchema,
-    _write_config_header,
     impute_mean,
     load_csv,
     minmax_normalize,
     one_hot,
     read_dataset_csv,
+    write_csv,
     write_dataset_csv,
 )
 from .kselect import sweep
 from .sampling import SampleSpec, sample_and_score
-from .silhouette import SilhouetteUndefinedError, full_report
+from .silhouette import full_report
 from .synth import (
     NUCLEUS_CLUSTER,
     NoiseSpec,
@@ -55,37 +54,14 @@ from .synth import (
 PROFILES = ("even", "varied")
 
 
-def _resolve_seed(seed: int) -> int:
-    env = os.environ.get("SIL_SEED")
-    return int(env) if env else seed
-
-
-def _threads(value: int | None) -> int:
-    return value if value else (os.cpu_count() or 1)
-
-
-def _config(cmd: str, args: argparse.Namespace, keys: list[str]) -> dict:
-    resolved = {"command": cmd, "version": __version__}
+def _config(args: argparse.Namespace, keys: list[str]) -> dict:
+    resolved = {"command": args.command, "version": __version__, "seed": args.seed}
     for key in keys:
         value = getattr(args, key)
         if isinstance(value, (list, tuple)):
             value = ",".join(str(v) for v in value)
         resolved[key.replace("_", "-")] = value
     return resolved
-
-
-def _write_csv(path, config: dict, header: list[str], rows: list[list]):
-    def fmt(v):
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        _write_config_header(fh, config)
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
 
 
 def _write_json(path, payload: dict):
@@ -134,49 +110,41 @@ def _float_list(text: str) -> list[float]:
 
 
 def cmd_gen(args) -> int:
-    seed = _resolve_seed(args.seed)
     if args.profile == "varied" or args.nucleus_extra > 0:
-        spec = imbalance_demo_spec(args.n, seed)
+        spec = imbalance_demo_spec(args.n, args.seed)
         if args.k != len(spec.centers):
-            raise SystemExit(
+            raise ValueError(
                 f"the varied profile is the {len(spec.centers)}-cluster demo layout; use --k {len(spec.centers)}"
             )
     else:
-        spec = separated_blobs_spec(args.k, args.n, seed, stddev=args.stddev)
+        spec = separated_blobs_spec(args.k, args.n, args.seed, stddev=args.stddev)
     data, labels = generate_blobs(spec)
     if args.nucleus_extra > 0:
-        rng = np.random.default_rng(seed + 1)
+        rng = np.random.default_rng(args.seed + 1)
         data, labels = grow_nucleus(
             data, labels, NUCLEUS_CLUSTER, args.nucleus_extra, NUCLEUS_STDDEV, rng
         )
     if args.noise_pct > 0:
-        noise = NoiseSpec(level=args.noise_pct / 100.0, rng_seed=seed + 2, pad=args.noise_pad)
+        noise = NoiseSpec(level=args.noise_pct / 100.0, rng_seed=args.seed + 2, pad=args.noise_pad)
         data = add_background_noise(data, labels, noise).dataset
-    config = _config(
-        "gen",
-        args,
-        ["k", "n", "profile", "nucleus_extra", "noise_pct", "noise_pad", "stddev"],
-    )
-    config["seed"] = seed
+    config = _config(args, ["k", "n", "profile", "nucleus_extra", "noise_pct", "noise_pad", "stddev"])
     write_dataset_csv(args.output, data, header_lines=config)
     print(f"wrote {data.n} rows to {args.output}")
     return 0
 
 
 def cmd_score(args) -> int:
-    seed = _resolve_seed(args.seed)
     data = _load_dataset(args)
     labels = _load_labels(args, data)
-    config = _config("score", args, ["data", "labels", "sample", "strategy"])
-    config["seed"] = seed
+    config = _config(args, ["data", "labels", "sample", "strategy"])
     payload = {"config": config}
     if args.sample:
-        spec = SampleSpec(args.strategy, args.sample, seed)
+        spec = SampleSpec(args.strategy, args.sample, args.seed)
         result = sample_and_score(data, labels, spec)
         payload["sample"] = {
             "strategy": args.strategy,
             "size": args.sample,
-            "seed": seed,
+            "seed": args.seed,
             "defined": result.defined,
             "drawn_counts": [int(c) for c in result.drawn_counts],
             "surviving_clusters": [int(c) for c in result.surviving_clusters],
@@ -187,44 +155,29 @@ def cmd_score(args) -> int:
         else:
             payload["report"] = None  # silhouette undefined: data, not failure
     else:
-        try:
-            payload["report"] = full_report(data, labels, _threads(args.threads)).to_dict()
-        except SilhouetteUndefinedError as exc:
-            raise SystemExit(f"cannot score: {exc}") from None
+        payload["report"] = full_report(data, labels, args.threads).to_dict()
     _write_json(args.output, payload)
     print(f"wrote report to {args.output}")
     return 0
 
 
 def cmd_cluster(args) -> int:
-    seed = _resolve_seed(args.seed)
     data = _load_dataset(args)
-    config_obj = KMeansConfig(k=args.k, rng_seed=seed, n_candidates=args.candidates)
-    results = global_kmeanspp(data, args.k, config_obj)
-    result = results[args.k]
-    config = _config("cluster", args, ["data", "k", "candidates"])
-    config["seed"] = seed
+    config_obj = KMeansConfig(rng_seed=args.seed, n_candidates=args.candidates)
+    result = global_kmeanspp(data, args.k, config_obj)[args.k]
+    config = _config(args, ["data", "k", "candidates"])
     _write_json(args.output, {"config": config, **result.to_dict()})
     print(f"k={args.k} sse={result.sse:.6g} -> {args.output}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    seed = _resolve_seed(args.seed)
     data = _load_dataset(args)
-    config_obj = KMeansConfig(k=args.k_max, rng_seed=seed, n_candidates=args.candidates)
+    config_obj = KMeansConfig(rng_seed=args.seed, n_candidates=args.candidates)
     result = sweep(
-        data,
-        args.k_min,
-        args.k_max,
-        config_obj,
-        sample_size=args.sample,
-        sample_strategy=args.strategy,
+        data, args.k_min, args.k_max, config_obj, sample_size=args.sample, sample_strategy=args.strategy
     )
-    config = _config(
-        "sweep", args, ["data", "k_min", "k_max", "sample", "strategy", "candidates"]
-    )
-    config["seed"] = seed
+    config = _config(args, ["data", "k_min", "k_max", "sample", "strategy", "candidates"])
     config["argmax-micro"] = result.argmax_micro
     config["argmax-macro"] = result.argmax_macro
     if args.format == "json":
@@ -241,7 +194,7 @@ def cmd_sweep(args) -> int:
             },
         )
     else:
-        _write_csv(
+        write_csv(
             args.output,
             config,
             ["k", "micro", "macro", "sse"],
@@ -255,11 +208,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_nucleus_study(args) -> int:
-    seed = _resolve_seed(args.seed)
-    rows = nucleus_study(args.sizes, seed=seed, threads=_threads(args.threads))
-    config = _config("nucleus-study", args, ["sizes"])
-    config["seed"] = seed
-    _write_csv(
+    rows = nucleus_study(args.sizes, seed=args.seed, threads=args.threads)
+    config = _config(args, ["sizes"])
+    write_csv(
         args.output,
         config,
         ["nucleus_size", "micro_randomized", "macro_randomized", "micro_truth", "macro_truth"],
@@ -273,21 +224,17 @@ def cmd_nucleus_study(args) -> int:
 
 
 def cmd_noise_study(args) -> int:
-    seed = _resolve_seed(args.seed)
     rows = noise_study(
         args.levels,
         k_min=args.k_min,
         k_max=args.k_max,
-        seed=seed,
+        seed=args.seed,
         cluster_seed=args.cluster_seed,
         noise_pad=args.noise_pad,
-        threads=_threads(args.threads),
+        threads=args.threads,
     )
-    config = _config(
-        "noise-study", args, ["levels", "k_min", "k_max", "cluster_seed", "noise_pad"]
-    )
-    config["seed"] = seed
-    _write_csv(
+    config = _config(args, ["levels", "k_min", "k_max", "cluster_seed", "noise_pad"])
+    write_csv(
         args.output,
         config,
         ["level_pct", "n_noise", "estimate_micro", "estimate_macro"],
@@ -298,31 +245,23 @@ def cmd_noise_study(args) -> int:
 
 
 def cmd_sample_study(args) -> int:
-    seed = _resolve_seed(args.seed)
     result = sample_study(
         args.sizes,
         args.runs,
         nucleus_total=args.nucleus,
-        seed=seed,
+        seed=args.seed,
         sample_seed_base=args.sample_seed_base,
         statistic=args.statistic,
-        threads=_threads(args.threads),
+        threads=args.threads,
     )
-    config = _config(
-        "sample-study",
-        args,
-        ["sizes", "runs", "nucleus", "statistic", "sample_seed_base"],
-    )
-    config["seed"] = seed
-    config["full-score"] = repr(result.full_score)
-    run_rows = []
-    for cell in result.cells:
-        for run, score in enumerate(cell.scores):
-            defined = not np.isnan(score)
-            run_rows.append(
-                [cell.size, cell.strategy, run, repr(float(score)) if defined else "", defined]
-            )
-    _write_csv(args.output, config, ["L", "strategy", "run", "score", "defined"], run_rows)
+    config = _config(args, ["sizes", "runs", "nucleus", "statistic", "sample_seed_base"])
+    config["full-score"] = result.full_score
+    run_rows = [
+        [cell.size, cell.strategy, run, "" if np.isnan(score) else score, not np.isnan(score)]
+        for cell in result.cells
+        for run, score in enumerate(cell.scores)
+    ]
+    write_csv(args.output, config, ["L", "strategy", "run", "score", "defined"], run_rows)
     summary_rows = [
         [
             c.size,
@@ -335,7 +274,7 @@ def cmd_sample_study(args) -> int:
         ]
         for c in result.cells
     ]
-    _write_csv(
+    write_csv(
         args.summary,
         config,
         ["L", "strategy", "median", "whisker_low", "whisker_high", "whisker_range", "undefined_runs"],
@@ -440,7 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(args, "threads") and not args.threads:
+        args.threads = os.cpu_count() or 1  # the default: all cores
     try:
+        if os.environ.get("SIL_SEED"):
+            args.seed = int(os.environ["SIL_SEED"])
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
-"""k-means machinery: Lloyd iterations, k-means++ seeding, and the
-incremental global variant that grows solutions one cluster at a time.
+"""k-means machinery: Lloyd iterations, and global k-means++, which grows
+solutions one cluster at a time from candidates drawn with k-means++
+probabilities.
 
 Everything is deterministic given the config seed. Assignment ties break
 toward the smaller center index; empty clusters are repaired by seizing the
@@ -28,7 +29,6 @@ untied. Points within delta of a tie are always recomputed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,22 +39,21 @@ __all__ = [
     "KMeansConfig",
     "KMeansResult",
     "lloyd",
-    "kmeanspp_seed",
     "global_kmeanspp",
 ]
 
 
 @dataclass(frozen=True)
 class KMeansConfig:
-    k: int = 2
+    """Lloyd and candidate settings; a run's k comes from its initial
+    centers (``lloyd``) or ``k_max`` (``global_kmeanspp``)."""
+
     max_iters: int = 300
     tol: float = 1e-6
     rng_seed: int = 0
     n_candidates: int = 10
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.tol < 0:
@@ -82,9 +81,6 @@ class KMeansResult:
             "centers": [[float(v) for v in row] for row in self.centers],
             "labels": [int(v) for v in self.labeling.assignments],
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,32 +181,6 @@ def _min_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distance from each point to its nearest center, the min taken
     down the rows of a k x N buffer as in ``_assign``."""
     return _sq_distances(np.ascontiguousarray(centers.T), points).min(axis=0)
-
-
-def _next_center_index(points: np.ndarray, centers: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one point index with probability proportional to its squared
-    distance to the nearest existing center (uniform if all are zero)."""
-    d2 = _min_sq_dist(points, centers)
-    total = d2.sum()
-    if total > 0:
-        p = d2 / total
-        return int(rng.choice(len(points), p=p))
-    return int(rng.integers(len(points)))
-
-
-def kmeanspp_seed(data: Dataset, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: first center uniform, the rest distance-weighted."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > data.n:
-        raise ValueError(f"k={k} exceeds the number of points {data.n}")
-    points = data.points
-    first = int(rng.integers(data.n))
-    centers = points[first][None, :].copy()
-    for _ in range(k - 1):
-        idx = _next_center_index(points, centers, rng)
-        centers = np.vstack([centers, points[idx]])
-    return centers
 
 
 def global_kmeanspp(data: Dataset, k_max: int, config: KMeansConfig) -> dict[int, KMeansResult]:

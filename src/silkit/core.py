@@ -9,17 +9,15 @@ distance the same bits whatever block of rows it is computed in.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Dataset",
     "Labeling",
-    "DatasetStats",
     "pairwise_distances",
     "canonicalize_labels",
-    "dataset_stats",
 ]
 
 
@@ -33,7 +31,6 @@ class Dataset:
 
     points: np.ndarray
     truth_labels: np.ndarray | None = None
-    column_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -50,11 +47,6 @@ class Dataset:
                 raise ValueError("truth_labels length must equal the number of rows")
             tl.setflags(write=False)
             object.__setattr__(self, "truth_labels", tl)
-        if self.column_names is not None:
-            names = tuple(self.column_names)
-            if len(names) != pts.shape[1]:
-                raise ValueError("column_names length must equal the number of columns")
-            object.__setattr__(self, "column_names", names)
 
     @property
     def n(self) -> int:
@@ -85,10 +77,6 @@ class Labeling:
         arr.setflags(write=False)
         object.__setattr__(self, "assignments", arr)
 
-    @classmethod
-    def from_raw(cls, raw) -> "Labeling":
-        return canonicalize_labels(raw)
-
     @property
     def n(self) -> int:
         return self.assignments.shape[0]
@@ -98,15 +86,6 @@ class Labeling:
 
     def members(self, c: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == c)
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    """Per-cluster sizes, imbalance ratio, and per-dimension bounding box."""
-
-    cluster_sizes: tuple[int, ...]
-    imbalance_ratio: float
-    bounding_box: tuple[tuple[float, float], ...] = field(default=())
 
 
 def _sq_distances(cols_t: np.ndarray, rows: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
@@ -182,14 +161,3 @@ def _canonicalize_with_ids(raw) -> tuple[Labeling, np.ndarray]:
     new_id = np.argsort(order, kind="stable")
     return Labeling(new_id[inverse], k=len(ids)), ids[order]
 
-
-def dataset_stats(data: Dataset, labels: Labeling) -> DatasetStats:
-    """Cluster sizes, min/max size ratio, and the data bounding box."""
-    if labels.n != data.n:
-        raise ValueError("labeling length does not match dataset")
-    sizes = labels.cluster_sizes()
-    ratio = float(sizes.min() / sizes.max())
-    lo = data.points.min(axis=0)
-    hi = data.points.max(axis=0)
-    box = tuple((float(a), float(b)) for a, b in zip(lo, hi))
-    return DatasetStats(tuple(int(s) for s in sizes), ratio, box)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import KMeansConfig, global_kmeanspp
+from .clustering import KMeansConfig
 from .core import Dataset, Labeling, _parallel_map
 from .kselect import SweepResult, estimate_k, sweep
 from .sampling import MonteCarloCell, monte_carlo_study
@@ -150,8 +150,7 @@ def noise_study(
             pad=noise_pad,
         )
         noisy = add_background_noise(base, base_labels, spec)
-        config = KMeansConfig(k=k_max, rng_seed=cluster_seed)
-        result = sweep(noisy.dataset, k_min, k_max, config)
+        result = sweep(noisy.dataset, k_min, k_max, KMeansConfig(rng_seed=cluster_seed))
         return NoiseStudyRow(
             level_pct=float(level),
             n_noise=noisy.n_noise,
@@ -208,14 +207,4 @@ def imbalance_sweep(
     """The k-estimation sweep on the imbalance demo dataset, scored with a
     cluster-balanced subsample per k (or fully when sample_size is None)."""
     data, _ = imbalance_dataset(nucleus_total, seed=seed)
-    config = KMeansConfig(k=k_max, rng_seed=cluster_seed)
-    solutions = global_kmeanspp(data, k_max, config)
-    return sweep(
-        data,
-        k_min,
-        k_max,
-        config,
-        sample_size=sample_size,
-        sample_strategy="balanced",
-        solutions=solutions,
-    )
+    return sweep(data, k_min, k_max, KMeansConfig(rng_seed=cluster_seed), sample_size=sample_size)

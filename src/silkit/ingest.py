@@ -28,6 +28,7 @@ __all__ = [
     "impute_mean",
     "one_hot",
     "minmax_normalize",
+    "write_csv",
     "write_dataset_csv",
     "read_dataset_csv",
 ]
@@ -87,7 +88,6 @@ class RawTable:
     categorical: list[np.ndarray] = field(default_factory=list)
     categorical_names: list[str] = field(default_factory=list)
     labels: np.ndarray | None = None
-    label_values: list[str] | None = None
 
     @property
     def n_rows(self) -> int:
@@ -108,12 +108,12 @@ def load_csv(path, schema: ColumnSchema) -> RawTable:
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         rows = [row for row in reader if row and not row[0].startswith("#")]
+    if len(rows) < 1 + schema.has_header:
+        raise ValueError(f"{path}: no data rows")
     if schema.has_header:
         header, rows = rows[0], rows[1:]
     else:
         header = [f"c{i}" for i in range(len(schema.kinds))]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
     width = len(schema.kinds)
     sentinels = set(schema.missing_sentinels)
 
@@ -143,10 +143,8 @@ def load_csv(path, schema: ColumnSchema) -> RawTable:
             raw_labels.append(row[label_col].strip())
 
     labels = None
-    label_values = None
     if label_col is not None:
-        label_values = sorted(set(raw_labels))
-        mapping = {v: i for i, v in enumerate(label_values)}
+        mapping = {v: i for i, v in enumerate(sorted(set(raw_labels)))}
         labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
 
     return RawTable(
@@ -155,7 +153,6 @@ def load_csv(path, schema: ColumnSchema) -> RawTable:
         categorical=cats,
         categorical_names=[header[i] for i in cat_cols],
         labels=labels,
-        label_values=label_values,
     )
 
 
@@ -175,7 +172,6 @@ def impute_mean(table: RawTable) -> RawTable:
         categorical=list(table.categorical),
         categorical_names=list(table.categorical_names),
         labels=table.labels,
-        label_values=table.label_values,
     )
 
 
@@ -195,7 +191,6 @@ def one_hot(table: RawTable) -> RawTable:
         numeric=np.hstack(blocks),
         numeric_names=names,
         labels=table.labels,
-        label_values=table.label_values,
     )
 
 
@@ -213,28 +208,48 @@ def minmax_normalize(table: RawTable) -> Dataset:
     span[constant] = 1.0
     x = (x - lo) / span
     x[:, constant] = 0.0
-    return Dataset(x, truth_labels=table.labels, column_names=tuple(table.numeric_names))
+    return Dataset(x, truth_labels=table.labels)
 
 
-def _write_config_header(fh, config: dict):
-    """One ``# key=value`` comment line per entry, keys sorted."""
-    for key in sorted(config):
-        fh.write(f"# {key}={config[key]}\n")
+def write_csv(path, config: dict, header: list[str], rows):
+    """Write ``config`` as ``# key=value`` comment lines (keys sorted), then
+    the header and the rows; floats as ``repr(float(v))``, so numpy floats
+    print as plain numbers and read back bit for bit, anything else as str."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        for key in sorted(config):
+            fh.write(f"# {key}={config[key]}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else str(v) for v in row])
 
 
 def write_dataset_csv(path, data: Dataset, *, header_lines: dict | None = None):
     """Write the canonical points+label CSV (see module docstring)."""
-    path = Path(path)
-    n, d = data.points.shape
-    truth = data.truth_labels
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        _write_config_header(fh, header_lines or {})
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(d)] + ["label"])
-        for i in range(n):
-            row = [repr(float(v)) for v in data.points[i]]
-            row.append(str(int(truth[i])) if truth is not None else "-1")
-            writer.writerow(row)
+    truth = data.truth_labels if data.truth_labels is not None else np.full(data.n, -1)
+    header = [f"x{i}" for i in range(data.dim)] + ["label"]
+    rows = (row + [label] for row, label in zip(data.points.tolist(), truth.tolist()))
+    write_csv(path, header_lines or {}, header, rows)
+
+
+def _dataset_csv_fault(path, rows: list[list[str]], width: int) -> str:
+    """The first ragged row, or non-finite or unparsable cell, of a canonical
+    CSV, located."""
+    for r, row in enumerate(rows, 1):
+        if len(row) != width:
+            return f"{path}: row {r}, column {min(len(row), width)}: {len(row)} cells, expected {width}"
+        for c, cell in enumerate(row[:-1]):
+            try:
+                finite = np.isfinite(float(cell))
+            except ValueError:
+                finite = False
+            if not finite:
+                return f"{path}: row {r}, column {c}: {cell!r} is not a finite number"
+        try:
+            np.int64(row[-1])
+        except (ValueError, OverflowError):
+            return f"{path}: row {r}, column {width - 1}: label {row[-1]!r} is not a 64-bit integer"
+    return f"{path}: unreadable rows"
 
 
 def read_dataset_csv(path) -> Dataset:
@@ -248,6 +263,12 @@ def read_dataset_csv(path) -> Dataset:
     header, rows = rows[0], rows[1:]
     if header[-1] != "label":
         raise ValueError(f"{path}: last column must be 'label', got {header[-1]!r}")
-    points = np.array([[float(v) for v in row[:-1]] for row in rows], dtype=np.float64)
-    truth = np.array([int(row[-1]) for row in rows], dtype=np.int64)
-    return Dataset(points, truth_labels=truth, column_names=tuple(header[:-1]))
+    try:
+        points = np.array([[float(v) for v in row[:-1]] for row in rows], dtype=np.float64)
+        truth = np.array([int(row[-1]) for row in rows], dtype=np.int64)
+    except (ValueError, OverflowError):
+        points = None
+    width = len(header)
+    if points is None or points.shape != (len(rows), width - 1) or not np.isfinite(points).all():
+        raise ValueError(_dataset_csv_fault(path, rows, width))
+    return Dataset(points, truth_labels=truth)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import KMeansConfig, KMeansResult, global_kmeanspp
+from .clustering import KMeansConfig, global_kmeanspp
 from .core import Dataset
 from .sampling import SampleSpec, sample_and_score
 from .silhouette import full_report
@@ -64,30 +64,24 @@ def sweep(
     *,
     sample_size: int | None = None,
     sample_strategy: str = "balanced",
-    sample_seed: int | None = None,
-    solutions: dict[int, KMeansResult] | None = None,
 ) -> SweepResult:
     """Cluster for every k in [k_min, k_max] and score each solution.
 
     With ``sample_size`` set (and smaller than N), each solution is scored
     on a subsample: macro is the subsample's macro and micro re-weights the
     cluster means by full cluster sizes. Each k draws its own subsample
-    with seed ``sample_seed + k``. ``solutions`` short-circuits clustering
-    when the caller already ran global_kmeanspp on this data.
+    with seed ``config.rng_seed + k``.
     """
     if not 2 <= k_min <= k_max <= data.n - 1:
         raise ValueError(f"need 2 <= k_min <= k_max <= N-1, got [{k_min}, {k_max}] with N={data.n}")
-    if solutions is None:
-        solutions = global_kmeanspp(data, k_max, config)
-    if sample_seed is None:
-        sample_seed = config.rng_seed
+    solutions = global_kmeanspp(data, k_max, config)
 
     rows = []
     for k in range(k_min, k_max + 1):
         result = solutions[k]
         labeling = result.labeling
         if sample_size is not None and sample_size < data.n:
-            spec = SampleSpec(sample_strategy, sample_size, sample_seed + k)
+            spec = SampleSpec(sample_strategy, sample_size, config.rng_seed + k)
             scored = sample_and_score(data, labeling, spec)
             if not scored.defined:
                 raise ValueError(

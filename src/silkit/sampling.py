@@ -67,14 +67,6 @@ class SampleResult:
     def defined(self) -> bool:
         return self.report is not None
 
-    @property
-    def macro(self) -> float | None:
-        return self.report.macro if self.report else None
-
-    @property
-    def micro(self) -> float | None:
-        return self.report.micro if self.report else None
-
 
 def _score_subset(data: Dataset, labels: Labeling, indices: np.ndarray) -> SampleResult:
     sub_raw = labels.assignments[indices]
@@ -185,7 +177,6 @@ def monte_carlo_study(
     labels: Labeling,
     sizes,
     runs: int,
-    strategies=STRATEGIES,
     *,
     seed_base: int = 0,
     statistic: str = "macro",
@@ -202,7 +193,7 @@ def monte_carlo_study(
     tasks = [
         (size, strategy, run)
         for size in sizes
-        for strategy in strategies
+        for strategy in STRATEGIES
         for run in range(runs)
     ]
 
@@ -216,7 +207,7 @@ def monte_carlo_study(
     cells = []
     pos = 0
     for size in sizes:
-        for strategy in strategies:
+        for strategy in STRATEGIES:
             scores = np.array(flat[pos : pos + runs])
             pos += runs
             defined = scores[~np.isnan(scores)]

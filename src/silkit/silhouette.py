@@ -14,7 +14,6 @@ Conventions (degenerate cases):
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 
@@ -47,9 +46,6 @@ class SilhouetteReport:
             "per_point": [float(v) for v in self.per_point],
             "singleton_count": self.singleton_count,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def _scores_from_sums(sums: np.ndarray, own: np.ndarray, counts: np.ndarray) -> np.ndarray:

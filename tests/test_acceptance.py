@@ -192,7 +192,7 @@ def test_criterion_7_wine_spot_check():
     schema = ColumnSchema.all_numeric(14, label_column=0)
     table = load_csv(path, schema)
     data = minmax_normalize(impute_mean(table))
-    result = sweep(data, 2, 30, KMeansConfig(k=30, rng_seed=0))
+    result = sweep(data, 2, 30, KMeansConfig(rng_seed=0))
     assert result.argmax_micro == 3
     assert result.argmax_macro == 3
     _report(7, time.time() - t0, "wine sweep: argmax_micro = argmax_macro = 3")

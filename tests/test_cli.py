@@ -35,10 +35,60 @@ def test_gen_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_gen_varied_requires_twelve(tmp_path):
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+def test_gen_varied_requires_twelve(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit):
-        run(["gen", "blobs", "--k", "5", "--profile", "varied", "-o", str(out)])
+    assert run(["gen", "blobs", "--k", "5", "--profile", "varied", "-o", str(out)]) == 1
+    assert "use --k 12" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_score_single_cluster_is_one_line_error(tmp_path, capsys):
+    data = tmp_path / "one.csv"
+    data.write_text("x,y,label\n0,0,3\n1,1,3\n2,0,3\n")
+    out = tmp_path / "report.json"
+    assert run(["score", "--data", str(data), "-o", str(out)]) == 1
+    assert "at least two clusters" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, located",
+    [
+        ("0,0,0\n1,1\n2,2,1\n", "row 2, column 2: 2 cells, expected 3"),
+        ("0,0,0\n1,1,1,1\n", "row 2, column 3: 4 cells, expected 3"),
+        ("0,0,0\n1,abc,1\n", "row 2, column 1: 'abc' is not a finite number"),
+        ("0,,0\n1,1,1\n", "row 1, column 1: '' is not a finite number"),
+        ("0,0,0\nnan,1,1\n", "row 2, column 0: 'nan' is not a finite number"),
+        ("0,-inf,0\n1,1,1\n", "row 1, column 1: '-inf' is not a finite number"),
+        ("0,0,0\n1,1,1.5\n", "row 2, column 2: label '1.5' is not a 64-bit integer"),
+    ],
+    ids=["short-row", "long-row", "non-numeric", "blank", "nan", "inf", "non-integer-label"],
+)
+def test_bad_dataset_csv_is_one_located_line(tmp_path, capsys, body, located):
+    data = tmp_path / "bad.csv"
+    data.write_text("# command=gen\nx0,x1,label\n" + body)
+    out = tmp_path / "report.json"
+    assert run(["score", "--data", str(data), "-o", str(out)]) == 1
+    assert _one_error_line(capsys) == f"error: {data}: {located}"
+    assert not out.exists()
+
+
+def test_sweep_k_max_up_to_n_minus_one(tmp_path, capsys):
+    data = tmp_path / "ten.csv"
+    run(["gen", "blobs", "--k", "2", "--n", "5", "--seed", "3", "-o", str(data)])
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--data", str(data), "--k-max", "9", "-o", str(out)]) == 0
+    out.unlink()
+    capsys.readouterr()
+    assert run(["sweep", "--data", str(data), "--k-max", "10", "-o", str(out)]) == 1
+    assert "k_max <= N-1" in _one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_score_balanced_toy(tmp_path):
@@ -178,6 +228,39 @@ def test_env_seed_override(tmp_path, monkeypatch):
     run(["gen", "blobs", "--k", "2", "--n", "20", "--seed", "999", "-o", str(b)])
     rows = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("#")]
     assert rows(a) == rows(b)
+
+
+def _recorded_config(path) -> dict:
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)["config"]
+    lines = [l[2:].split("=", 1) for l in text.splitlines() if l.startswith("# ")]
+    return {key: value for key, value in lines}
+
+
+LEAF_COMMANDS = [
+    ["gen", "blobs", "--k", "2", "--n", "10"],
+    ["score", "--data", "{data}"],
+    ["cluster", "--data", "{data}", "--k", "2"],
+    ["sweep", "--data", "{data}", "--k-max", "3"],
+    ["nucleus-study", "--sizes", "100", "--threads", "1"],
+    ["noise-study", "--levels", "0", "--k-max", "3", "--threads", "1"],
+    ["sample-study", "--sizes", "20", "--runs", "2", "--nucleus", "100", "--threads", "1",
+     "--summary", "{summary}"],
+]
+
+
+@pytest.mark.parametrize("argv", LEAF_COMMANDS, ids=[argv[0] for argv in LEAF_COMMANDS])
+def test_env_seed_recorded_by_every_command(tmp_path, monkeypatch, argv):
+    data = tmp_path / "data.csv"
+    run(["gen", "blobs", "--k", "2", "--n", "15", "-o", str(data)])
+    monkeypatch.setenv("SIL_SEED", "7")
+    out = tmp_path / ("out.json" if argv[0] in ("score", "cluster") else "out.csv")
+    filled = [a.format(data=data, summary=tmp_path / "summary.csv") for a in argv]
+    assert run(filled + ["--seed", "1", "-o", str(out)]) == 0
+    config = _recorded_config(out)
+    assert str(config["seed"]) == "7"
+    assert config["command"] == argv[0]
 
 
 def test_nucleus_study_cli_small(tmp_path):

@@ -8,9 +8,7 @@ from silkit.clustering import (
     KMeansConfig,
     _assign,
     _min_sq_dist,
-    _next_center_index,
     global_kmeanspp,
-    kmeanspp_seed,
     lloyd,
 )
 from silkit.core import Dataset
@@ -22,14 +20,14 @@ from naive import broadcast_sq_distances, reference_lloyd
 def test_lloyd_k1_is_mean_one_iteration():
     rng = np.random.default_rng(0)
     data = Dataset(rng.normal(size=(30, 3)))
-    result = lloyd(data, data.points[:1], KMeansConfig(k=1))
+    result = lloyd(data, data.points[:1], KMeansConfig())
     assert np.allclose(result.centers[0], data.points.mean(axis=0))
     assert result.iterations == 1
 
 
 def test_lloyd_two_pairs_hand_value():
     data = Dataset([[0.0], [1.0], [10.0], [11.0]])
-    result = lloyd(data, np.array([[0.0], [10.0]]), KMeansConfig(k=2))
+    result = lloyd(data, np.array([[0.0], [10.0]]), KMeansConfig())
     assert sorted(result.centers[:, 0].tolist()) == [0.5, 10.5]
     assert result.sse == pytest.approx(1.0, abs=1e-12)
     assert result.labeling.assignments.tolist() == [0, 0, 1, 1]
@@ -40,7 +38,7 @@ def test_lloyd_sse_monotone_in_iterations():
     data = Dataset(rng.normal(size=(120, 2)) * 3)
     init = data.points[:5]
     sses = [
-        lloyd(data, init, KMeansConfig(k=5, max_iters=m, tol=0.0)).sse
+        lloyd(data, init, KMeansConfig(max_iters=m, tol=0.0)).sse
         for m in range(1, 12)
     ]
     assert all(b <= a + 1e-9 for a, b in zip(sses, sses[1:]))
@@ -49,13 +47,13 @@ def test_lloyd_sse_monotone_in_iterations():
 def test_lloyd_rejects_k_above_n():
     data = Dataset([[0.0], [1.0]])
     with pytest.raises(ValueError):
-        lloyd(data, np.zeros((3, 1)), KMeansConfig(k=3))
+        lloyd(data, np.zeros((3, 1)), KMeansConfig())
 
 
 def test_lloyd_assigns_nearest_center():
     rng = np.random.default_rng(2)
     data = Dataset(rng.normal(size=(60, 2)))
-    result = lloyd(data, data.points[:4], KMeansConfig(k=4))
+    result = lloyd(data, data.points[:4], KMeansConfig())
     d2 = ((data.points[:, None, :] - result.centers[None]) ** 2).sum(-1)
     assert np.array_equal(result.labeling.assignments, d2.argmin(axis=1))
 
@@ -63,7 +61,7 @@ def test_lloyd_assigns_nearest_center():
 def test_lloyd_repairs_empty_clusters():
     # both centers start on top of one point; the far point must be seized
     data = Dataset([[0.0], [0.1], [50.0]])
-    result = lloyd(data, np.array([[0.0], [0.0]]), KMeansConfig(k=2))
+    result = lloyd(data, np.array([[0.0], [0.0]]), KMeansConfig())
     assert result.labeling.k == 2
     assert len(np.unique(result.labeling.assignments)) == 2
 
@@ -81,7 +79,7 @@ def test_lloyd_repairs_empty_clusters():
 )
 def test_lloyd_repairs_empty_clusters_as_it_goes(points, init, expected):
     data = Dataset(np.array(points)[:, None])
-    result = lloyd(data, np.array(init)[:, None], KMeansConfig(k=3))
+    result = lloyd(data, np.array(init)[:, None], KMeansConfig())
     assert np.isfinite(result.centers).all()
     assert result.labeling.assignments.tolist() == expected
 
@@ -122,7 +120,7 @@ KINDS = st.sampled_from(["continuous", "duplicates", "grid", "line"])
 )
 def test_lloyd_bit_identical_to_reference(seed, d, kind, tol, max_iters):
     points, init = _lloyd_case(seed, d, kind)
-    data, config = Dataset(points), KMeansConfig(k=len(init), max_iters=max_iters, tol=tol)
+    data, config = Dataset(points), KMeansConfig(max_iters=max_iters, tol=tol)
     try:
         centers, labels, sse, iterations = reference_lloyd(points, init, max_iters, tol)
     except ValueError:
@@ -148,7 +146,7 @@ def test_lloyd_one_dim_matches_reference(seed, kind, tol, max_iters):
     # centers move in the last ulp and can flip an exact tie; a zero second
     # column makes the reference sum in index order with the same distances
     points, init = _lloyd_case(seed, 1, kind)
-    data, config = Dataset(points), KMeansConfig(k=len(init), max_iters=max_iters, tol=tol)
+    data, config = Dataset(points), KMeansConfig(max_iters=max_iters, tol=tol)
     padded = [np.hstack([a, np.zeros_like(a)]) for a in (points, init)]
     try:
         centers, labels, sse, iterations = reference_lloyd(*padded, max_iters, tol)
@@ -176,7 +174,7 @@ def test_lloyd_tie_after_centers_move_goes_to_smaller_id():
     # above their distance sqrt(58.5) to center 1; only delta catches that
     t = np.array([-2.0, -1.0, 0.0, 0.0, 2.0, 4.0])
     data = Dataset(t[:, None] * np.array([1.0, 5.0]))
-    result = lloyd(data, np.array([[-3.0, -15.0], [0.0, 0.0]]), KMeansConfig(k=2))
+    result = lloyd(data, np.array([[-3.0, -15.0], [0.0, 0.0]]), KMeansConfig())
     assert result.labeling.assignments.tolist() == [0, 0, 0, 0, 1, 1]
     assert result.centers.tolist() == [[-0.75, -3.75], [3.0, 15.0]]
 
@@ -185,12 +183,12 @@ def test_lloyd_converged_flag():
     rng = np.random.default_rng(12)
     data = Dataset(rng.normal(size=(200, 2)))
     init = data.points[:6]
-    assert lloyd(data, init, KMeansConfig(k=6)).converged
-    short = lloyd(data, init, KMeansConfig(k=6, max_iters=1, tol=0.0))
+    assert lloyd(data, init, KMeansConfig()).converged
+    short = lloyd(data, init, KMeansConfig(max_iters=1, tol=0.0))
     assert short.iterations == 1
     assert not short.converged
     assert "converged" not in short.to_dict()
-    results = global_kmeanspp(data, 3, KMeansConfig(k=3, rng_seed=0))
+    results = global_kmeanspp(data, 3, KMeansConfig(rng_seed=0))
     assert all(result.converged for result in results.values())
 
 
@@ -205,7 +203,7 @@ def test_global_calls_lloyd_by_name_per_candidate(monkeypatch):
     monkeypatch.setattr(clustering, "lloyd", counting)
     rng = np.random.default_rng(13)
     data = Dataset(rng.normal(size=(60, 2)))
-    global_kmeanspp(data, 6, KMeansConfig(k=6, n_candidates=4, rng_seed=0))
+    global_kmeanspp(data, 6, KMeansConfig(n_candidates=4, rng_seed=0))
     assert len(calls) == 4 * (6 - 1)
 
 
@@ -241,11 +239,41 @@ def test_lloyd_valid_or_one_error_on_duplicates(seed, n, values, k):
     distinct = len(np.unique(data.points, axis=0))
     if distinct < k:
         with pytest.raises(ValueError, match="distinct points"):
-            lloyd(data, init, KMeansConfig(k=k))
+            lloyd(data, init, KMeansConfig())
         return
-    result = lloyd(data, init, KMeansConfig(k=k))
+    result = lloyd(data, init, KMeansConfig())
     assert np.isfinite(result.centers).all()
     assert (result.labeling.cluster_sizes() > 0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 30),
+    d=st.integers(1, 3),
+    values=st.integers(1, 6),
+    k_max=st.integers(1, 8),
+    candidates=st.integers(1, 4),
+)
+def test_global_valid_for_every_k_or_one_error(seed, n, d, values, k_max, candidates):
+    # a coarse grid makes duplicates, and often fewer distinct points than k_max
+    assume(k_max <= n)
+    rng = np.random.default_rng(seed)
+    data = Dataset(rng.integers(0, values, size=(n, d)).astype(float))
+    config = KMeansConfig(rng_seed=seed, n_candidates=candidates)
+    if len(np.unique(data.points, axis=0)) < k_max:
+        with pytest.raises(ValueError, match="distinct points"):
+            global_kmeanspp(data, k_max, config)
+        return
+    results = global_kmeanspp(data, k_max, config)
+    assert sorted(results) == list(range(1, k_max + 1))
+    for k, result in results.items():
+        assert result.labeling.k == k and result.labeling.n == n
+        assert (result.labeling.cluster_sizes() > 0).all()
+        assert result.centers.shape == (k, d) and np.isfinite(result.centers).all()
+        assert isinstance(result.converged, bool)
+    sse = [results[k].sse for k in range(1, k_max + 1)]
+    assert all(b <= a for a, b in zip(sse, sse[1:]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -262,44 +290,35 @@ def test_assign_bit_identical_to_broadcast_formula(seed, d, k):
     assert np.array_equal(_min_sq_dist(points, centers), expected.min(axis=1))
 
 
-def test_kmeanspp_k1_uniform():
-    rng = np.random.default_rng(3)
-    data = Dataset(np.arange(10, dtype=float)[:, None])
-    centers = kmeanspp_seed(data, 1, rng)
-    assert centers.shape == (1, 1)
-    assert centers[0, 0] in data.points[:, 0]
-
-
-def test_kmeanspp_duplicate_never_reselected():
-    # both rows identical: after the first pick, the duplicate has zero mass
-    data = Dataset([[5.0, 5.0], [5.0, 5.0], [9.0, 9.0]])
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        centers = kmeanspp_seed(data, 2, rng)
-        assert not np.array_equal(centers[0], centers[1])
+def test_kmeanspp_k_above_n_rejected():
+    data = Dataset([[0.0], [1.0]])
+    with pytest.raises(ValueError, match="k_max=3 exceeds the number of points 2"):
+        global_kmeanspp(data, 3, KMeansConfig())
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        global_kmeanspp(data, 0, KMeansConfig())
 
 
 def test_next_center_probability_proportional_to_d2():
-    # line {0, 1, 10} with the first center at 0: squared distances 1 and 100
+    # line {0, 1, 10}: the k=1 center is the mean 11/3, so point 10 holds
+    # 40.1 of the 60.7 squared-distance mass. Lloyd keeps the drawn point's
+    # cluster second: its center is 10 exactly when 10 was drawn. At k=3,
+    # 10 is a center with zero mass and is never drawn, so the third center
+    # is 0 or 1.
     data = Dataset([[0.0], [1.0], [10.0]])
-    centers = np.array([[0.0]])
-    rng = np.random.default_rng(5)
-    picks = np.array([_next_center_index(data.points, centers, rng) for _ in range(10_000)])
-    freq_10 = (picks == 2).mean()
-    assert freq_10 == pytest.approx(100 / 101, abs=0.01)
-    assert (picks == 0).sum() == 0  # zero-distance point is never drawn
-
-
-def test_kmeanspp_k_above_n_rejected():
-    data = Dataset([[0.0], [1.0]])
-    with pytest.raises(ValueError):
-        kmeanspp_seed(data, 3, np.random.default_rng(0))
+    drew_10, third = [], set()
+    for seed in range(2000):
+        results = global_kmeanspp(data, 3, KMeansConfig(rng_seed=seed, n_candidates=1))
+        drew_10.append(results[2].centers[1, 0] == 10.0)
+        third.add(float(results[3].centers[2, 0]))
+    d2 = (np.array([0.0, 1.0, 10.0]) - 11 / 3) ** 2
+    assert np.mean(drew_10) == pytest.approx(d2[2] / d2.sum(), abs=0.04)
+    assert third == {0.0, 1.0}
 
 
 def test_global_k1_mean():
     rng = np.random.default_rng(6)
     data = Dataset(rng.normal(size=(50, 2)))
-    results = global_kmeanspp(data, 1, KMeansConfig(k=1, rng_seed=0))
+    results = global_kmeanspp(data, 1, KMeansConfig(rng_seed=0))
     assert np.allclose(results[1].centers[0], data.points.mean(axis=0))
     expected_sse = ((data.points - data.points.mean(axis=0)) ** 2).sum()
     assert results[1].sse == pytest.approx(expected_sse, rel=1e-12)
@@ -327,14 +346,14 @@ def _ari(a, b):
 
 def test_global_recovers_separated_blobs():
     data, truth = generate_blobs(separated_blobs_spec(4, 50, rng_seed=7))
-    results = global_kmeanspp(data, 4, KMeansConfig(k=4, rng_seed=1))
+    results = global_kmeanspp(data, 4, KMeansConfig(rng_seed=1))
     assert _ari(results[4].labeling.assignments, truth.assignments) == pytest.approx(1.0)
 
 
 def test_global_sse_non_increasing_in_k():
     rng = np.random.default_rng(8)
     data = Dataset(rng.normal(size=(90, 2)) * 4)
-    results = global_kmeanspp(data, 10, KMeansConfig(k=10, rng_seed=2))
+    results = global_kmeanspp(data, 10, KMeansConfig(rng_seed=2))
     sses = [results[k].sse for k in range(1, 11)]
     assert all(b <= a + 1e-9 for a, b in zip(sses, sses[1:]))
 
@@ -342,8 +361,8 @@ def test_global_sse_non_increasing_in_k():
 def test_global_deterministic():
     rng = np.random.default_rng(9)
     data = Dataset(rng.normal(size=(70, 3)))
-    r1 = global_kmeanspp(data, 6, KMeansConfig(k=6, rng_seed=11))
-    r2 = global_kmeanspp(data, 6, KMeansConfig(k=6, rng_seed=11))
+    r1 = global_kmeanspp(data, 6, KMeansConfig(rng_seed=11))
+    r2 = global_kmeanspp(data, 6, KMeansConfig(rng_seed=11))
     for k in range(1, 7):
         assert np.array_equal(r1[k].centers, r2[k].centers)
         assert np.array_equal(r1[k].labeling.assignments, r2[k].labeling.assignments)
@@ -353,7 +372,7 @@ def test_global_deterministic():
 def test_global_labelings_canonical_nonempty():
     rng = np.random.default_rng(10)
     data = Dataset(rng.normal(size=(40, 2)))
-    results = global_kmeanspp(data, 8, KMeansConfig(k=8, rng_seed=3))
+    results = global_kmeanspp(data, 8, KMeansConfig(rng_seed=3))
     for k, result in results.items():
         sizes = result.labeling.cluster_sizes()
         assert len(sizes) == k
@@ -364,15 +383,13 @@ def test_result_json_fields():
     import json
 
     data = Dataset([[0.0], [1.0], [10.0], [11.0]])
-    result = lloyd(data, np.array([[0.0], [10.0]]), KMeansConfig(k=2))
-    payload = json.loads(result.to_json())
+    result = lloyd(data, np.array([[0.0], [10.0]]), KMeansConfig())
+    payload = json.loads(json.dumps(result.to_dict()))
     assert set(payload) == {"k", "sse", "iterations", "centers", "labels"}
     assert payload["k"] == 2
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        KMeansConfig(k=0)
     with pytest.raises(ValueError):
         KMeansConfig(max_iters=0)
     with pytest.raises(ValueError):

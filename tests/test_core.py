@@ -7,7 +7,6 @@ from silkit.core import (
     _canonicalize_with_ids,
     _sq_distances,
     canonicalize_labels,
-    dataset_stats,
     pairwise_distances,
 )
 
@@ -109,35 +108,6 @@ def test_labeling_rejects_gaps():
         Labeling(np.array([0, 1]), k=1)
     with pytest.raises(ValueError, match=r"found \[-1  0  1\]$"):
         Labeling(np.array([1, -1, 0]), k=2)
-
-
-def test_stats_balanced():
-    d = Dataset(np.zeros((200, 2)) + np.arange(200)[:, None])
-    lab = Labeling(np.repeat([0, 1], 100), k=2)
-    s = dataset_stats(d, lab)
-    assert s.cluster_sizes == (100, 100)
-    assert s.imbalance_ratio == 1.0
-
-
-def test_stats_forty_equal_clusters():
-    lab = Labeling(np.repeat(np.arange(40), 10), k=40)
-    d = Dataset(np.arange(400, dtype=float)[:, None])
-    s = dataset_stats(d, lab)
-    assert s.imbalance_ratio == 1.0
-
-
-def test_stats_imbalanced_ratio():
-    lab = Labeling(np.repeat([0, 1], [12, 100]), k=2)
-    d = Dataset(np.arange(112, dtype=float)[:, None])
-    s = dataset_stats(d, lab)
-    assert s.imbalance_ratio == pytest.approx(0.12)
-
-
-def test_stats_bounding_box():
-    d = Dataset([[0.0, -1.0], [2.0, 5.0]])
-    lab = Labeling(np.array([0, 1]), k=2)
-    s = dataset_stats(d, lab)
-    assert s.bounding_box == ((0.0, 2.0), (-1.0, 5.0))
 
 
 def test_dataset_immutable():

@@ -64,6 +64,13 @@ def test_load_non_numeric_rejected(tmp_path):
         load_csv(path, ColumnSchema(("numeric", "numeric")))
 
 
+@pytest.mark.parametrize("text", ["", "x,y\n"], ids=["empty", "header-only"])
+def test_load_without_data_rows_rejected(tmp_path, text):
+    path = write(tmp_path, text)
+    with pytest.raises(ValueError, match="no data rows"):
+        load_csv(path, ColumnSchema(("numeric", "numeric"), has_header=True))
+
+
 def test_load_header_and_ignore(tmp_path):
     path = write(tmp_path, "id,x,grp\n1,0.5,a\n2,0.7,b\n")
     schema = ColumnSchema(("ignore", "numeric", "categorical"), has_header=True)

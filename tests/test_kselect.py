@@ -13,7 +13,7 @@ def make_sweep(rows):
 
 def test_single_k_sweep():
     data, _ = generate_blobs(separated_blobs_spec(5, 20, rng_seed=0))
-    result = sweep(data, 5, 5, KMeansConfig(k=5, rng_seed=1))
+    result = sweep(data, 5, 5, KMeansConfig(rng_seed=1))
     assert len(result.rows) == 1
     assert result.argmax_micro == 5
     assert result.argmax_macro == 5
@@ -39,30 +39,28 @@ def test_estimate_unknown_aggregation():
 
 def test_sweep_finds_true_k_on_blobs():
     data, _ = generate_blobs(separated_blobs_spec(4, 60, rng_seed=2))
-    result = sweep(data, 2, 8, KMeansConfig(k=8, rng_seed=3))
+    result = sweep(data, 2, 8, KMeansConfig(rng_seed=3))
     assert result.argmax_micro == 4
     assert result.argmax_macro == 4
 
 
 def test_sweep_balanced_blobs_micro_equals_macro_argmax():
     data, _ = generate_blobs(separated_blobs_spec(3, 50, rng_seed=4))
-    result = sweep(data, 2, 6, KMeansConfig(k=6, rng_seed=5))
+    result = sweep(data, 2, 6, KMeansConfig(rng_seed=5))
     assert result.argmax_micro == result.argmax_macro == 3
 
 
 def test_sweep_reproducible_bitwise():
     data, _ = generate_blobs(separated_blobs_spec(3, 40, rng_seed=6))
-    a = sweep(data, 2, 6, KMeansConfig(k=6, rng_seed=7))
-    b = sweep(data, 2, 6, KMeansConfig(k=6, rng_seed=7))
+    a = sweep(data, 2, 6, KMeansConfig(rng_seed=7))
+    b = sweep(data, 2, 6, KMeansConfig(rng_seed=7))
     assert a.rows == b.rows
 
 
 def test_sweep_sampled_scoring():
     data, _ = generate_blobs(separated_blobs_spec(4, 100, rng_seed=8))
-    full = sweep(data, 2, 6, KMeansConfig(k=6, rng_seed=9))
-    sampled = sweep(
-        data, 2, 6, KMeansConfig(k=6, rng_seed=9), sample_size=120, sample_seed=11
-    )
+    full = sweep(data, 2, 6, KMeansConfig(rng_seed=9))
+    sampled = sweep(data, 2, 6, KMeansConfig(rng_seed=9), sample_size=120)
     assert sampled.argmax_macro == full.argmax_macro == 4
     # sampled scores track the full ones
     for fr, sr in zip(full.rows, sampled.rows):
@@ -72,7 +70,7 @@ def test_sweep_sampled_scoring():
 
 def test_sweep_rejects_bad_range():
     data, _ = generate_blobs(separated_blobs_spec(3, 10, rng_seed=10))
-    config = KMeansConfig(k=5, rng_seed=0)
+    config = KMeansConfig(rng_seed=0)
     with pytest.raises(ValueError):
         sweep(data, 1, 5, config)
     with pytest.raises(ValueError):
@@ -83,13 +81,13 @@ def test_sweep_rejects_bad_range():
 
 def test_estimate_inside_range():
     data, _ = generate_blobs(separated_blobs_spec(3, 30, rng_seed=11))
-    result = sweep(data, 2, 7, KMeansConfig(k=7, rng_seed=12))
+    result = sweep(data, 2, 7, KMeansConfig(rng_seed=12))
     for agg in ("micro", "macro"):
         assert 2 <= estimate_k(result, agg) <= 7
 
 
 def test_sse_column_non_increasing():
     data, _ = generate_blobs(separated_blobs_spec(4, 30, rng_seed=13))
-    result = sweep(data, 2, 8, KMeansConfig(k=8, rng_seed=14))
+    result = sweep(data, 2, 8, KMeansConfig(rng_seed=14))
     sses = [r.sse for r in result.rows]
     assert all(b <= a + 1e-9 for a, b in zip(sses, sses[1:]))

@@ -305,7 +305,7 @@ def test_report_json_roundtrip():
     import json
 
     report = full_report(PAIRS, PAIRS_LABELS)
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_dict()))
     assert set(payload) == {"micro", "macro", "per_cluster", "per_point", "singleton_count"}
     assert payload["micro"] == report.micro
     assert len(payload["per_point"]) == 4

@@ -6,20 +6,12 @@ __version__ = "0.1.0"
 
 from .clustering import KMeansConfig, KMeansResult, global_kmeanspp, lloyd
 from .core import Dataset, Labeling, canonicalize_labels, pairwise_distances
-from .kselect import SweepResult, SweepRow, estimate_k, sweep
-from .sampling import (
-    MonteCarloCell,
-    SampleResult,
-    SampleSpec,
-    balanced_sample,
-    monte_carlo_study,
-    uniform_sample,
-)
+from .kselect import SweepResult, SweepRow, sweep
+from .sampling import MonteCarloCell, SampleResult, SampleSpec, monte_carlo_study, sample_and_score
 from .silhouette import SilhouetteReport, SilhouetteUndefinedError, full_report
 from .synth import (
     BlobSpec,
     NoiseSpec,
-    NoisyData,
     add_background_noise,
     generate_blobs,
     grow_nucleus,
@@ -40,8 +32,7 @@ __all__ = [
     "SampleSpec",
     "SampleResult",
     "MonteCarloCell",
-    "uniform_sample",
-    "balanced_sample",
+    "sample_and_score",
     "monte_carlo_study",
     "KMeansConfig",
     "KMeansResult",
@@ -50,10 +41,8 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "sweep",
-    "estimate_k",
     "BlobSpec",
     "NoiseSpec",
-    "NoisyData",
     "generate_blobs",
     "grow_nucleus",
     "randomize_except",

@@ -28,16 +28,7 @@ from .experiments import (
     nucleus_study,
     sample_study,
 )
-from .ingest import (
-    ColumnSchema,
-    impute_mean,
-    load_csv,
-    minmax_normalize,
-    one_hot,
-    read_dataset_csv,
-    write_csv,
-    write_dataset_csv,
-)
+from .ingest import ColumnSchema, load_csv, read_dataset_csv, write_csv, write_dataset_csv
 from .kselect import sweep
 from .sampling import SampleSpec, sample_and_score
 from .silhouette import full_report
@@ -74,8 +65,7 @@ def _load_dataset(args) -> Dataset:
     """Read a dataset: the canonical points+label CSV, or any CSV through
     the preprocessing pipeline when --schema is given."""
     if args.schema:
-        schema = ColumnSchema.from_file(args.schema)
-        data = minmax_normalize(one_hot(impute_mean(load_csv(args.data, schema))))
+        data = load_csv(args.data, ColumnSchema.from_file(args.schema))
         if args.prepared_out:
             write_dataset_csv(
                 args.prepared_out, data, header_lines={"source": args.data, "schema": args.schema}
@@ -126,7 +116,7 @@ def cmd_gen(args) -> int:
         )
     if args.noise_pct > 0:
         noise = NoiseSpec(level=args.noise_pct / 100.0, rng_seed=args.seed + 2, pad=args.noise_pad)
-        data = add_background_noise(data, labels, noise).dataset
+        data = add_background_noise(data, labels, noise)
     config = _config(args, ["k", "n", "profile", "nucleus_extra", "noise_pct", "noise_pad", "stddev"])
     write_dataset_csv(args.output, data, header_lines=config)
     print(f"wrote {data.n} rows to {args.output}")
@@ -382,8 +372,12 @@ def main(argv=None) -> int:
     if hasattr(args, "threads") and not args.threads:
         args.threads = os.cpu_count() or 1  # the default: all cores
     try:
-        if os.environ.get("SIL_SEED"):
-            args.seed = int(os.environ["SIL_SEED"])
+        env_seed = os.environ.get("SIL_SEED")
+        if env_seed:
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                raise ValueError(f"SIL_SEED must be an integer, got {env_seed!r}") from None
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .clustering import KMeansConfig
 from .core import Dataset, Labeling, _parallel_map
-from .kselect import SweepResult, estimate_k, sweep
+from .kselect import SweepResult, sweep
 from .sampling import MonteCarloCell, monte_carlo_study
 from .silhouette import full_report
 from .synth import (
@@ -100,7 +100,6 @@ def nucleus_study(
             NUCLEUS_CLUSTER,
             k,
             np.random.default_rng(seed + _RANDOMIZE_OFFSET),
-            allow_kept_label=False,
         )
         rand_report = full_report(data, randomized, threads)
         truth_report = full_report(data, truth, threads)
@@ -150,12 +149,12 @@ def noise_study(
             pad=noise_pad,
         )
         noisy = add_background_noise(base, base_labels, spec)
-        result = sweep(noisy.dataset, k_min, k_max, KMeansConfig(rng_seed=cluster_seed))
+        result = sweep(noisy, k_min, k_max, KMeansConfig(rng_seed=cluster_seed))
         return NoiseStudyRow(
             level_pct=float(level),
-            n_noise=noisy.n_noise,
-            estimate_micro=estimate_k(result, "micro"),
-            estimate_macro=estimate_k(result, "macro"),
+            n_noise=noisy.n - base.n,
+            estimate_micro=result.argmax_micro,
+            estimate_macro=result.argmax_macro,
         )
 
     return _parallel_map(one, enumerate(levels_pct), threads)

@@ -1,5 +1,6 @@
-"""CSV ingestion and preprocessing: mean imputation, one-hot encoding, and
-min-max normalization, applied in that order.
+"""CSV ingestion: ``load_csv(path, schema)`` reads a raw CSV into a prepared
+Dataset by mean imputation, one-hot encoding, and min-max normalization,
+applied in that order.
 
 The order matters: imputation needs raw numeric columns, one-hot output is
 binary, and min-max maps every column into [0, 1] while leaving indicator
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,7 @@ from .core import Dataset
 
 __all__ = [
     "ColumnSchema",
-    "RawTable",
     "load_csv",
-    "impute_mean",
-    "one_hot",
-    "minmax_normalize",
     "write_csv",
     "write_dataset_csv",
     "read_dataset_csv",
@@ -66,43 +63,41 @@ class ColumnSchema:
         "header": bool, "delimiter": ","}. Only "columns" is required."""
         with Path(path).open(encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"schema {path}: expected a JSON object")
+        missing = raw.get("missing", list(DEFAULT_SENTINELS))
+        header = raw.get("header", False)
+        delimiter = raw.get("delimiter", ",")
+        for key, value in (("columns", raw.get("columns")), ("missing", missing)):
+            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                raise ValueError(f'schema {path}: "{key}" must be a list of strings')
+        if not isinstance(header, bool):
+            raise ValueError(f'schema {path}: "header" must be true or false, got {header!r}')
+        if not (isinstance(delimiter, str) and len(delimiter) == 1):
+            raise ValueError(f'schema {path}: "delimiter" must be one character, got {delimiter!r}')
         return cls(
             kinds=tuple(raw["columns"]),
-            missing_sentinels=tuple(raw.get("missing", DEFAULT_SENTINELS)),
-            has_header=bool(raw.get("header", False)),
-            delimiter=raw.get("delimiter", ","),
+            missing_sentinels=tuple(missing),
+            has_header=header,
+            delimiter=delimiter,
         )
 
 
-@dataclass
-class RawTable:
-    """Typed columns straight from a CSV, with missing cells flagged.
-
-    numeric: n x m float matrix, NaN where the cell was missing.
-    categorical: list of string arrays (missing = sentinel kept as "").
-    labels: integer array factorized from the label column, or None.
-    """
-
-    numeric: np.ndarray
-    numeric_names: list[str]
-    categorical: list[np.ndarray] = field(default_factory=list)
-    categorical_names: list[str] = field(default_factory=list)
-    labels: np.ndarray | None = None
-
-    @property
-    def n_rows(self) -> int:
-        if self.numeric.size:
-            return self.numeric.shape[0]
-        if self.categorical:
-            return len(self.categorical[0])
-        return 0 if self.labels is None else len(self.labels)
+def _ragged(where: str, row: list[str], width: int) -> str:
+    return f"{where}, column {min(len(row), width)}: {len(row)} cells, expected {width}"
 
 
-def load_csv(path, schema: ColumnSchema) -> RawTable:
-    """Parse a CSV into typed columns according to the schema.
+def load_csv(path, schema: ColumnSchema) -> Dataset:
+    """Read a CSV and prepare it as the schema describes.
 
-    Raises on ragged rows and on non-sentinel cells that fail to parse as
-    numbers in numeric columns.
+    Rows are parsed one by one; a ragged row, or a cell of a numeric column
+    that is neither a missing sentinel nor a number, is an error located by
+    row and column. Then each missing numeric cell takes its column's mean
+    over present values, each categorical column becomes one 0/1 indicator
+    column per value (numeric columns first, then the indicators in sorted
+    value order), and every column is mapped onto [0, 1] by
+    ``(x - lo) / span``, constant columns to 0. Label values factorize in
+    sorted order into ``truth_labels``.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -110,105 +105,58 @@ def load_csv(path, schema: ColumnSchema) -> RawTable:
         rows = [row for row in reader if row and not row[0].startswith("#")]
     if len(rows) < 1 + schema.has_header:
         raise ValueError(f"{path}: no data rows")
+    width = len(schema.kinds)
     if schema.has_header:
         header, rows = rows[0], rows[1:]
+        if len(header) != width:
+            raise ValueError(_ragged(f"{path}: header row", header, width))
     else:
-        header = [f"c{i}" for i in range(len(schema.kinds))]
-    width = len(schema.kinds)
+        header = [f"c{i}" for i in range(width)]
     sentinels = set(schema.missing_sentinels)
-
-    numeric_cols: list[int] = [i for i, k in enumerate(schema.kinds) if k == "numeric"]
-    cat_cols: list[int] = [i for i, k in enumerate(schema.kinds) if k == "categorical"]
+    numeric_cols = [i for i, k in enumerate(schema.kinds) if k == "numeric"]
+    cat_cols = [i for i, k in enumerate(schema.kinds) if k == "categorical"]
     label_col = next((i for i, k in enumerate(schema.kinds) if k == "label"), None)
 
     numeric = np.empty((len(rows), len(numeric_cols)), dtype=np.float64)
-    cats = [np.empty(len(rows), dtype=object) for _ in cat_cols]
-    raw_labels: list[str] = []
-
     for r, row in enumerate(rows):
         if len(row) != width:
-            raise ValueError(f"{path}: row {r + 1} has {len(row)} cells, expected {width}")
+            raise ValueError(_ragged(f"{path}: row {r + 1}", row, width))
         for j, i in enumerate(numeric_cols):
             cell = row[i].strip()
-            if cell in sentinels:
-                numeric[r, j] = np.nan
-            else:
-                try:
-                    numeric[r, j] = float(cell)
-                except ValueError:
-                    raise ValueError(f"{path}: row {r + 1}, column {i}: {cell!r} is not numeric") from None
-        for j, i in enumerate(cat_cols):
-            cats[j][r] = row[i].strip()
-        if label_col is not None:
-            raw_labels.append(row[label_col].strip())
+            try:
+                numeric[r, j] = np.nan if cell in sentinels else float(cell)
+            except ValueError:
+                raise ValueError(f"{path}: row {r + 1}, column {i}: {cell!r} is not numeric") from None
 
-    labels = None
-    if label_col is not None:
-        mapping = {v: i for i, v in enumerate(sorted(set(raw_labels)))}
-        labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
-
-    return RawTable(
-        numeric=numeric,
-        numeric_names=[header[i] for i in numeric_cols],
-        categorical=cats,
-        categorical_names=[header[i] for i in cat_cols],
-        labels=labels,
-    )
-
-
-def impute_mean(table: RawTable) -> RawTable:
-    """Replace missing numeric cells with their column's mean over present values."""
-    numeric = table.numeric.copy()
-    for j in range(numeric.shape[1]):
+    for j, i in enumerate(numeric_cols):
         col = numeric[:, j]
         missing = np.isnan(col)
         if missing.all():
-            raise ValueError(f"column {table.numeric_names[j]!r} has no present values to impute from")
+            raise ValueError(f"column {header[i]!r} has no present values to impute from")
         if missing.any():
             col[missing] = col[~missing].mean()
-    return RawTable(
-        numeric=numeric,
-        numeric_names=list(table.numeric_names),
-        categorical=list(table.categorical),
-        categorical_names=list(table.categorical_names),
-        labels=table.labels,
-    )
 
-
-def one_hot(table: RawTable) -> RawTable:
-    """Expand each categorical column into one indicator column per value,
-    ordered lexicographically. Consumes the categorical columns."""
-    blocks = [table.numeric] if table.numeric.size else []
-    names = list(table.numeric_names)
-    for col, base in zip(table.categorical, table.categorical_names):
-        values = sorted(set(col))
-        for v in values:
-            blocks.append((col == v).astype(np.float64)[:, None])
-            names.append(f"{base}={v}")
+    blocks = [numeric] if numeric.size else []
+    for i in cat_cols:
+        col = np.array([row[i].strip() for row in rows], dtype=object)
+        blocks += [(col == v).astype(np.float64)[:, None] for v in sorted(set(col))]
     if not blocks:
         raise ValueError("table has no feature columns")
-    return RawTable(
-        numeric=np.hstack(blocks),
-        numeric_names=names,
-        labels=table.labels,
-    )
-
-
-def minmax_normalize(table: RawTable) -> Dataset:
-    """Affinely map every column onto [0, 1]; constant columns map to 0."""
-    if np.isnan(table.numeric).any():
-        raise ValueError("impute missing values before normalizing")
-    if table.categorical:
-        raise ValueError("one-hot encode categorical columns before normalizing")
-    x = table.numeric.copy()
+    x = np.hstack(blocks)
     lo = x.min(axis=0)
-    hi = x.max(axis=0)
-    span = hi - lo
+    span = x.max(axis=0) - lo
     constant = span == 0
     span[constant] = 1.0
-    x = (x - lo) / span
+    x -= lo
+    x /= span
     x[:, constant] = 0.0
-    return Dataset(x, truth_labels=table.labels)
+
+    labels = None
+    if label_col is not None:
+        raw_labels = [row[label_col].strip() for row in rows]
+        mapping = {v: i for i, v in enumerate(sorted(set(raw_labels)))}
+        labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
+    return Dataset(x, truth_labels=labels)
 
 
 def write_csv(path, config: dict, header: list[str], rows):
@@ -237,7 +185,7 @@ def _dataset_csv_fault(path, rows: list[list[str]], width: int) -> str:
     CSV, located."""
     for r, row in enumerate(rows, 1):
         if len(row) != width:
-            return f"{path}: row {r}, column {min(len(row), width)}: {len(row)} cells, expected {width}"
+            return _ragged(f"{path}: row {r}", row, width)
         for c, cell in enumerate(row[:-1]):
             try:
                 finite = np.isfinite(float(cell))

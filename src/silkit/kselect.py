@@ -17,9 +17,7 @@ from .core import Dataset
 from .sampling import SampleSpec, sample_and_score
 from .silhouette import full_report
 
-__all__ = ["SweepRow", "SweepResult", "sweep", "estimate_k"]
-
-AGGREGATIONS = ("micro", "macro")
+__all__ = ["SweepRow", "SweepResult", "sweep"]
 
 
 @dataclass(frozen=True)
@@ -33,27 +31,16 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
-    k_min: int
-    k_max: int
-
-    def __post_init__(self):
-        if not self.rows:
-            raise ValueError("sweep produced no rows")
-        if self.k_min < 2:
-            raise ValueError("sweep range must start at k >= 2")
-
-    def column(self, aggregation: str) -> np.ndarray:
-        if aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
-        return np.array([getattr(r, aggregation) for r in self.rows])
 
     @property
     def argmax_micro(self) -> int:
-        return estimate_k(self, "micro")
+        """Smallest k attaining the maximum micro score."""
+        return self.rows[int(np.argmax([r.micro for r in self.rows]))].k
 
     @property
     def argmax_macro(self) -> int:
-        return estimate_k(self, "macro")
+        """Smallest k attaining the maximum macro score."""
+        return self.rows[int(np.argmax([r.macro for r in self.rows]))].k
 
 
 def sweep(
@@ -92,10 +79,4 @@ def sweep(
             report = full_report(data, labeling)
             micro, macro = report.micro, report.macro
         rows.append(SweepRow(k=k, micro=float(micro), macro=float(macro), sse=result.sse))
-    return SweepResult(rows=tuple(rows), k_min=k_min, k_max=k_max)
-
-
-def estimate_k(result: SweepResult, aggregation: str) -> int:
-    """Smallest k attaining the maximum of the chosen score column."""
-    column = result.column(aggregation)
-    return result.rows[int(np.argmax(column))].k
+    return SweepResult(rows=tuple(rows))

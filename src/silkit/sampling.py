@@ -1,4 +1,5 @@
-"""Subsampling strategies for scalable silhouette estimation.
+"""Subsampled silhouette estimation: ``sample_and_score`` draws a subsample
+with one of two strategies and scores it.
 
 Uniform sampling draws L row indices without replacement. Cluster-balanced
 sampling gives every cluster an equal quota q = floor(L/K); clusters smaller
@@ -24,8 +25,7 @@ from .silhouette import SilhouetteReport, full_report
 __all__ = [
     "SampleSpec",
     "SampleResult",
-    "uniform_sample",
-    "balanced_sample",
+    "sample_and_score",
     "MonteCarloCell",
     "monte_carlo_study",
     "tukey_whiskers",
@@ -68,28 +68,6 @@ class SampleResult:
         return self.report is not None
 
 
-def _score_subset(data: Dataset, labels: Labeling, indices: np.ndarray) -> SampleResult:
-    sub_raw = labels.assignments[indices]
-    drawn = np.bincount(sub_raw, minlength=labels.k)
-    surviving = np.flatnonzero(drawn > 0)
-    if len(surviving) < 2:
-        return SampleResult(indices, drawn, surviving, None, None)
-    sub_labels, ids = _canonicalize_with_ids(sub_raw)
-    report = full_report(Dataset(data.points[indices]), sub_labels)
-    full_sizes = labels.cluster_sizes()[ids]
-    micro_weighted = float((report.per_cluster * full_sizes).sum() / full_sizes.sum())
-    return SampleResult(indices, drawn, surviving, report, micro_weighted)
-
-
-def uniform_sample(data: Dataset, labels: Labeling, spec: SampleSpec) -> SampleResult:
-    """Score a uniformly drawn subsample of L rows."""
-    if spec.size > data.n:
-        raise ValueError(f"sample size {spec.size} exceeds dataset size {data.n}")
-    rng = np.random.default_rng(spec.rng_seed)
-    indices = np.sort(rng.choice(data.n, size=spec.size, replace=False))
-    return _score_subset(data, labels, indices)
-
-
 def balanced_allocation(cluster_sizes: np.ndarray, budget: int) -> np.ndarray:
     """Per-cluster draw counts for a balanced sample of the given budget:
     the leftover budget after the quotas lowers the largest unsampled counts
@@ -111,28 +89,34 @@ def balanced_allocation(cluster_sizes: np.ndarray, budget: int) -> np.ndarray:
     return alloc
 
 
-def balanced_sample(data: Dataset, labels: Labeling, spec: SampleSpec) -> SampleResult:
-    """Score a cluster-balanced subsample: equal quotas, leftover budget to
-    the clusters with the most unsampled points."""
+def sample_and_score(data: Dataset, labels: Labeling, spec: SampleSpec) -> SampleResult:
+    """Draw ``spec.size`` row indices with ``spec.strategy`` and score the
+    subsample: uniform draws without replacement over all rows; balanced
+    draws each cluster's ``balanced_allocation`` count from its members, in
+    cluster order from the same rng."""
     if spec.size > data.n:
         raise ValueError(f"sample size {spec.size} exceeds dataset size {data.n}")
-    if labels.k < 2:
-        raise ValueError("balanced sampling requires at least two clusters")
     rng = np.random.default_rng(spec.rng_seed)
-    alloc = balanced_allocation(labels.cluster_sizes(), spec.size)
-    chunks = []
-    for c in range(labels.k):
-        members = labels.members(c)
-        chunks.append(rng.choice(members, size=int(alloc[c]), replace=False))
-    indices = np.sort(np.concatenate(chunks))
-    return _score_subset(data, labels, indices)
-
-
-_SAMPLERS = {"uniform": uniform_sample, "balanced": balanced_sample}
-
-
-def sample_and_score(data: Dataset, labels: Labeling, spec: SampleSpec) -> SampleResult:
-    return _SAMPLERS[spec.strategy](data, labels, spec)
+    if spec.strategy == "uniform":
+        indices = rng.choice(data.n, size=spec.size, replace=False)
+    else:
+        if labels.k < 2:
+            raise ValueError("balanced sampling requires at least two clusters")
+        alloc = balanced_allocation(labels.cluster_sizes(), spec.size)
+        indices = np.concatenate(
+            [rng.choice(labels.members(c), size=int(alloc[c]), replace=False) for c in range(labels.k)]
+        )
+    indices = np.sort(indices)
+    sub_raw = labels.assignments[indices]
+    drawn = np.bincount(sub_raw, minlength=labels.k)
+    surviving = np.flatnonzero(drawn > 0)
+    if len(surviving) < 2:
+        return SampleResult(indices, drawn, surviving, None, None)
+    sub_labels, ids = _canonicalize_with_ids(sub_raw)
+    report = full_report(Dataset(data.points[indices]), sub_labels)
+    full_sizes = labels.cluster_sizes()[ids]
+    micro_weighted = float((report.per_cluster * full_sizes).sum() / full_sizes.sum())
+    return SampleResult(indices, drawn, surviving, report, micro_weighted)
 
 
 def tukey_whiskers(values: np.ndarray) -> tuple[float, float]:

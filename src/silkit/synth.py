@@ -1,6 +1,7 @@
 """Synthetic scenario generators: Gaussian blobs, nucleus growth for
-cluster-imbalance experiments, label randomization, and uniform background
-noise injection.
+cluster-imbalance experiments, label randomization that keeps one cluster
+pure, and uniform background noise injection (noise rows appended with
+truth label -1).
 
 Two canned layouts are provided. ``separated_blobs_spec`` places k equal
 clusters on a ring with adjacent centers 16 standard deviations apart.
@@ -15,7 +16,7 @@ coherent enough that the 12-way partition is the macro-silhouette optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .core import Dataset, Labeling, canonicalize_labels
 __all__ = [
     "BlobSpec",
     "NoiseSpec",
-    "NoisyData",
     "generate_blobs",
     "grow_nucleus",
     "randomize_except",
@@ -80,39 +80,16 @@ class BlobSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Uniform background noise: relative level p and per-dimension bounds.
-
-    ``bounds`` is ((a1, b1), ..., (ad, bd)); None derives the box from the
-    dataset's bounding box expanded by ``pad`` per side.
-    """
+    """Uniform background noise: relative level p over the dataset's
+    bounding box expanded by ``pad`` (a fraction of the span) per side."""
 
     level: float
-    bounds: tuple[tuple[float, float], ...] | None = None
     rng_seed: int = 0
     pad: float = 0.10
 
     def __post_init__(self):
         if not 0.0 <= self.level < 1.0:
             raise ValueError("noise level must be in [0, 1)")
-        if self.bounds is not None:
-            if any(a >= b for a, b in self.bounds):
-                raise ValueError("each bound must satisfy a < b")
-
-
-@dataclass(frozen=True)
-class NoisyData:
-    """Dataset with appended noise rows; the mask marks which rows they are.
-
-    Clustering consumers treat noise rows as ordinary points; the mask (and
-    the -1 truth label) exists only for evaluation bookkeeping.
-    """
-
-    dataset: Dataset
-    noise_mask: np.ndarray = field(repr=False)
-
-    @property
-    def n_noise(self) -> int:
-        return int(self.noise_mask.sum())
 
 
 def generate_blobs(spec: BlobSpec) -> tuple[Dataset, Labeling]:
@@ -162,74 +139,53 @@ def randomize_except(
     keep_cluster: int,
     k: int,
     rng: np.random.Generator,
-    *,
-    allow_kept_label: bool = True,
 ) -> Labeling:
-    """Random uniform labels for every point outside ``keep_cluster``.
+    """Random uniform labels, drawn from the k-1 labels other than
+    ``keep_cluster``, for every point outside ``keep_cluster``.
 
-    With ``allow_kept_label`` (default) the random draw ranges over all k
-    labels. Setting it False draws from the other k-1 labels only, which
-    keeps the preserved cluster pure; the nucleus growth study relies on
-    that to hold its macro score constant while the cluster is inflated.
+    Excluding the kept label keeps the preserved cluster pure; the nucleus
+    growth study relies on that to hold its macro score constant while the
+    cluster is inflated.
     """
     if not 0 <= keep_cluster < labels.k:
         raise ValueError(f"unknown cluster id {keep_cluster}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if k < 2:
+        raise ValueError("excluding the kept label requires k >= 2")
     out = np.asarray(labels.assignments).copy()
     mask = out != keep_cluster
-    if allow_kept_label:
-        out[mask] = rng.integers(0, k, size=int(mask.sum()))
-    else:
-        if k < 2:
-            raise ValueError("excluding the kept label requires k >= 2")
-        choices = np.array([c for c in range(k) if c != keep_cluster], dtype=np.int64)
-        out[mask] = choices[rng.integers(0, k - 1, size=int(mask.sum()))]
+    choices = np.array([c for c in range(k) if c != keep_cluster], dtype=np.int64)
+    out[mask] = choices[rng.integers(0, k - 1, size=int(mask.sum()))]
     out[~mask] = keep_cluster
     return canonicalize_labels(out)
 
 
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
-
-
 def noise_count(n_points: int, level: float) -> int:
-    """Number of noise rows so that noise/(noise + N) equals the level."""
+    """Number of noise rows, rounded half up, so that noise/(noise + N) is the level."""
     if level == 0.0:
         return 0
-    return _round_half_up(level * n_points / (1.0 - level))
+    return int(np.floor(level * n_points / (1.0 - level) + 0.5))
 
 
-def add_background_noise(data: Dataset, labels: Labeling, spec: NoiseSpec) -> NoisyData:
+def add_background_noise(data: Dataset, labels: Labeling, spec: NoiseSpec) -> Dataset:
     """Append uniformly distributed points over the noise box.
 
-    Noise rows get truth label -1 and are flagged in the returned mask.
+    Noise rows come last, with truth label -1; the other rows keep the
+    dataset's truth labels, or ``labels`` where it has none.
     """
     n = noise_count(data.n, spec.level)
-    mask = np.zeros(data.n + n, dtype=bool)
+    base_truth = data.truth_labels if data.truth_labels is not None else labels.assignments
     if n == 0:
-        truth = data.truth_labels
-        if truth is None:
-            truth = labels.assignments
-        return NoisyData(Dataset(data.points, truth_labels=truth), mask)
-    if spec.bounds is not None:
-        lo = np.array([a for a, _ in spec.bounds], dtype=np.float64)
-        hi = np.array([b for _, b in spec.bounds], dtype=np.float64)
-        if len(lo) != data.dim:
-            raise ValueError("bounds dimensionality does not match dataset")
-    else:
-        lo = data.points.min(axis=0)
-        hi = data.points.max(axis=0)
-        span = hi - lo
-        lo = lo - spec.pad * span
-        hi = hi + spec.pad * span
+        return Dataset(data.points, truth_labels=base_truth)
+    lo = data.points.min(axis=0)
+    hi = data.points.max(axis=0)
+    span = hi - lo
+    lo = lo - spec.pad * span
+    hi = hi + spec.pad * span
     rng = np.random.default_rng(spec.rng_seed)
     noise = rng.uniform(lo, hi, size=(n, data.dim))
     points = np.vstack([data.points, noise])
-    base_truth = data.truth_labels if data.truth_labels is not None else labels.assignments
     truth = np.concatenate([base_truth, np.full(n, -1, dtype=np.int64)])
-    mask[data.n :] = True
-    return NoisyData(Dataset(points, truth_labels=truth), mask)
+    return Dataset(points, truth_labels=truth)
 
 
 def imbalance_demo_spec(points_per_cluster: int = 100, rng_seed: int = 0) -> BlobSpec:
@@ -243,15 +199,15 @@ def imbalance_demo_spec(points_per_cluster: int = 100, rng_seed: int = 0) -> Blo
 
 
 def separated_blobs_spec(
-    k: int, points_per_cluster: int, rng_seed: int = 0, *, stddev: float = 1.0, spacing: float = 16.0
+    k: int, points_per_cluster: int, rng_seed: int = 0, *, stddev: float = 1.0
 ) -> BlobSpec:
-    """k equal blobs on a ring with adjacent centers ``spacing`` apart."""
+    """k equal blobs on a ring with adjacent centers 16 apart."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
         centers = ((0.0, 0.0),)
     else:
-        radius = spacing / (2.0 * np.sin(np.pi / k))
+        radius = 16.0 / (2.0 * np.sin(np.pi / k))
         # phase offset puts k=4 on the corners of an axis-aligned square, so
         # the blobs span the bounding box instead of its edge midpoints
         angles = [np.pi / k + 2.0 * np.pi * j / k for j in range(k)]

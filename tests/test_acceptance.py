@@ -20,7 +20,7 @@ from silkit.experiments import (
     nucleus_study,
     sample_study,
 )
-from silkit.ingest import ColumnSchema, impute_mean, load_csv, minmax_normalize
+from silkit.ingest import ColumnSchema, load_csv
 from silkit.kselect import sweep
 from silkit.silhouette import full_report
 
@@ -189,9 +189,7 @@ def test_criterion_7_wine_spot_check():
             "(first column = class label, 13 numeric features) or set SILKIT_WINE_CSV"
         )
     t0 = time.time()
-    schema = ColumnSchema.all_numeric(14, label_column=0)
-    table = load_csv(path, schema)
-    data = minmax_normalize(impute_mean(table))
+    data = load_csv(path, ColumnSchema.all_numeric(14, label_column=0))
     result = sweep(data, 2, 30, KMeansConfig(rng_seed=0))
     assert result.argmax_micro == 3
     assert result.argmax_macro == 3

@@ -320,6 +320,38 @@ def test_sweep_with_schema_preprocessing(tmp_path):
     assert values.min() >= 0.0 and values.max() <= 1.0
 
 
+@pytest.mark.parametrize(
+    "schema_text, fault",
+    [
+        ('{"header": true}', '"columns" must be a list of strings'),
+        ('["numeric", "label"]', "expected a JSON object"),
+        ('{"columns": ["numeric", 2]}', '"columns" must be a list of strings'),
+        ('{"columns": ["numeric", "label"], "header": "no"}', '"header" must be true or false, got \'no\''),
+        ('{"columns": ["numeric", "label"], "missing": "NA"}', '"missing" must be a list of strings'),
+        ('{"columns": ["numeric", "label"], "delimiter": ";;"}', '"delimiter" must be one character, got \';;\''),
+    ],
+    ids=["no-columns", "list", "non-string-kind", "string-header", "string-missing", "long-delimiter"],
+)
+def test_bad_schema_file_is_one_line_error(tmp_path, capsys, schema_text, fault):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("x,label\n1,a\n2,b\n3,a\n4,b\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text(schema_text)
+    out, prepared = tmp_path / "report.json", tmp_path / "prepared.csv"
+    argv = ["score", "--data", str(raw), "--schema", str(schema), "--prepared-out", str(prepared)]
+    assert run(argv + ["-o", str(out)]) == 1
+    assert _one_error_line(capsys) == f"error: schema {schema}: {fault}"
+    assert not out.exists() and not prepared.exists()
+
+
+def test_non_integer_env_seed_is_one_line_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SIL_SEED", "abc")
+    out = tmp_path / "x.csv"
+    assert run(["gen", "blobs", "-o", str(out)]) == 1
+    assert _one_error_line(capsys) == "error: SIL_SEED must be an integer, got 'abc'"
+    assert not out.exists()
+
+
 def test_outputs_embed_config_header(tmp_path):
     out = tmp_path / "blobs.csv"
     run(["gen", "blobs", "--k", "2", "--n", "10", "--seed", "3", "-o", str(out)])

@@ -3,12 +3,12 @@ import pytest
 
 from silkit.clustering import KMeansConfig
 from silkit.core import Dataset
-from silkit.kselect import SweepResult, SweepRow, estimate_k, sweep
+from silkit.kselect import SweepResult, SweepRow, sweep
 from silkit.synth import generate_blobs, separated_blobs_spec
 
 
 def make_sweep(rows):
-    return SweepResult(rows=tuple(SweepRow(*r) for r in rows), k_min=rows[0][0], k_max=rows[-1][0])
+    return SweepResult(rows=tuple(SweepRow(*r) for r in rows))
 
 
 def test_single_k_sweep():
@@ -21,20 +21,14 @@ def test_single_k_sweep():
 
 def test_estimate_monotone_column_returns_kmax():
     rows = [(k, k * 0.1, k * 0.1, 10.0 - k) for k in range(2, 7)]
-    assert estimate_k(make_sweep(rows), "micro") == 6
-    assert estimate_k(make_sweep(rows), "macro") == 6
+    assert make_sweep(rows).argmax_micro == 6
+    assert make_sweep(rows).argmax_macro == 6
 
 
 def test_estimate_tie_returns_smaller_k():
     rows = [(2, 0.5, 0.5, 5.0), (3, 0.7, 0.7, 4.0), (4, 0.7, 0.7, 3.0)]
-    assert estimate_k(make_sweep(rows), "micro") == 3
-    assert estimate_k(make_sweep(rows), "macro") == 3
-
-
-def test_estimate_unknown_aggregation():
-    rows = [(2, 0.5, 0.5, 5.0)]
-    with pytest.raises(ValueError):
-        estimate_k(make_sweep(rows), "median")
+    assert make_sweep(rows).argmax_micro == 3
+    assert make_sweep(rows).argmax_macro == 3
 
 
 def test_sweep_finds_true_k_on_blobs():
@@ -82,8 +76,8 @@ def test_sweep_rejects_bad_range():
 def test_estimate_inside_range():
     data, _ = generate_blobs(separated_blobs_spec(3, 30, rng_seed=11))
     result = sweep(data, 2, 7, KMeansConfig(rng_seed=12))
-    for agg in ("micro", "macro"):
-        assert 2 <= estimate_k(result, agg) <= 7
+    assert 2 <= result.argmax_micro <= 7
+    assert 2 <= result.argmax_macro <= 7
 
 
 def test_sse_column_non_increasing():

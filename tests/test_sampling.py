@@ -7,10 +7,9 @@ from silkit.core import Dataset, Labeling
 from silkit.sampling import (
     SampleSpec,
     balanced_allocation,
-    balanced_sample,
     monte_carlo_study,
+    sample_and_score,
     tukey_whiskers,
-    uniform_sample,
 )
 from silkit.silhouette import full_report
 from silkit.synth import generate_blobs, separated_blobs_spec
@@ -22,7 +21,7 @@ def blob_instance(k=4, n=40, seed=0):
 
 def test_uniform_full_size_equals_full_report():
     data, labels = blob_instance()
-    result = uniform_sample(data, labels, SampleSpec("uniform", data.n, 1))
+    result = sample_and_score(data, labels, SampleSpec("uniform", data.n, 1))
     full = full_report(data, labels)
     assert result.defined
     assert result.report.micro == full.micro
@@ -32,8 +31,8 @@ def test_uniform_full_size_equals_full_report():
 
 def test_uniform_deterministic():
     data, labels = blob_instance()
-    a = uniform_sample(data, labels, SampleSpec("uniform", 20, 9))
-    b = uniform_sample(data, labels, SampleSpec("uniform", 20, 9))
+    a = sample_and_score(data, labels, SampleSpec("uniform", 20, 9))
+    b = sample_and_score(data, labels, SampleSpec("uniform", 20, 9))
     assert np.array_equal(a.indices, b.indices)
     assert a.report.micro == b.report.micro
 
@@ -46,7 +45,7 @@ def test_uniform_can_go_undefined_on_imbalance():
     undefined_seeds = [
         s
         for s in range(40)
-        if not uniform_sample(data, labels, SampleSpec("uniform", 5, s)).defined
+        if not sample_and_score(data, labels, SampleSpec("uniform", 5, s)).defined
     ]
     assert undefined_seeds, "expected at least one all-one-cluster sample"
 
@@ -54,12 +53,12 @@ def test_uniform_can_go_undefined_on_imbalance():
 def test_uniform_rejects_oversize():
     data, labels = blob_instance()
     with pytest.raises(ValueError):
-        uniform_sample(data, labels, SampleSpec("uniform", data.n + 1, 0))
+        sample_and_score(data, labels, SampleSpec("uniform", data.n + 1, 0))
 
 
 def test_balanced_exact_division():
     data, labels = blob_instance(k=4, n=40)
-    result = balanced_sample(data, labels, SampleSpec("balanced", 40, 2))
+    result = sample_and_score(data, labels, SampleSpec("balanced", 40, 2))
     assert result.drawn_counts.tolist() == [10, 10, 10, 10]
 
 
@@ -77,7 +76,7 @@ def test_balanced_allocation_exhausts_all_points():
 
 def test_balanced_covers_every_cluster():
     data, labels = blob_instance(k=5, n=30)
-    result = balanced_sample(data, labels, SampleSpec("balanced", 7, 3))
+    result = sample_and_score(data, labels, SampleSpec("balanced", 7, 3))
     assert (result.drawn_counts >= 1).all()
 
 
@@ -130,8 +129,8 @@ def test_balanced_allocation_one_huge_cluster():
 
 def test_balanced_deterministic():
     data, labels = blob_instance()
-    a = balanced_sample(data, labels, SampleSpec("balanced", 30, 5))
-    b = balanced_sample(data, labels, SampleSpec("balanced", 30, 5))
+    a = sample_and_score(data, labels, SampleSpec("balanced", 30, 5))
+    b = sample_and_score(data, labels, SampleSpec("balanced", 30, 5))
     assert np.array_equal(a.indices, b.indices)
 
 
@@ -140,7 +139,7 @@ def test_sample_drops_absent_clusters():
     data = Dataset(pts)
     labels = Labeling(np.repeat([0, 1, 2], [6, 6, 2]), k=3)
     # force a sample from the first two clusters only
-    result = uniform_sample(data, labels, SampleSpec("uniform", 12, 17))
+    result = sample_and_score(data, labels, SampleSpec("uniform", 12, 17))
     if 2 not in labels.assignments[result.indices]:
         assert len(result.surviving_clusters) == 2
         assert result.defined
@@ -152,7 +151,7 @@ def test_micro_weighted_matches_full_when_sample_is_everything():
     rng = np.random.default_rng(11)
     shuffled = Labeling(np.repeat([2, 0, 1], [3, 10, 5]), k=3)
     for data, labels in [(data, labels), (Dataset(rng.normal(size=(18, 2))), shuffled)]:
-        result = balanced_sample(data, labels, SampleSpec("balanced", data.n, 1))
+        result = sample_and_score(data, labels, SampleSpec("balanced", data.n, 1))
         full = full_report(data, labels)
         assert result.micro_weighted == pytest.approx(full.micro, abs=1e-12)
 

@@ -88,29 +88,19 @@ def test_randomize_keeps_kept_cluster_together():
 
 
 def test_randomize_keep_only_cluster_identity():
+    # with one label there is no other label to draw from
     labels = Labeling(np.zeros(20, dtype=np.int64), k=1)
-    out = randomize_except(labels, 0, 1, np.random.default_rng(5))
-    assert np.array_equal(out.assignments, labels.assignments)
-    assert out.k == 1
+    with pytest.raises(ValueError, match="k >= 2"):
+        randomize_except(labels, 0, 1, np.random.default_rng(5))
 
 
 def test_randomize_exclude_kept_label():
     labels = Labeling(np.repeat([0, 1, 2, 3], 25), k=4)
-    out = randomize_except(
-        labels, 0, 4, np.random.default_rng(6), allow_kept_label=False
-    )
+    out = randomize_except(labels, 0, 4, np.random.default_rng(6))
     # the kept cluster label maps to some canonical id; no outside point has it
     kept_id = out.assignments[0]
     assert (out.assignments[:25] == kept_id).all()
     assert (out.assignments[25:] != kept_id).all()
-
-
-def test_randomize_allow_kept_label_mixes():
-    labels = Labeling(np.repeat([0, 1], 200), k=2)
-    out = randomize_except(labels, 0, 2, np.random.default_rng(7))
-    kept_id = out.assignments[0]
-    # with the kept label allowed, some outside points land in it
-    assert (out.assignments[200:] == kept_id).any()
 
 
 def test_noise_count_values():
@@ -122,40 +112,27 @@ def test_noise_count_values():
 def test_noise_zero_identity():
     data, labels = generate_blobs(separated_blobs_spec(4, 25, rng_seed=8))
     noisy = add_background_noise(data, labels, NoiseSpec(level=0.0, rng_seed=1))
-    assert noisy.dataset.n == data.n
-    assert noisy.n_noise == 0
-    assert not noisy.noise_mask.any()
+    assert noisy.n == data.n
+    assert not (noisy.truth_labels == -1).any()
 
 
 def test_noise_marks_rows_and_labels():
     data, labels = generate_blobs(separated_blobs_spec(4, 50, rng_seed=9))
     noisy = add_background_noise(data, labels, NoiseSpec(level=0.25, rng_seed=2))
-    n = noisy.n_noise
-    assert n == noise_count(200, 0.25)
-    assert noisy.dataset.n == 200 + n
-    assert (noisy.dataset.truth_labels[-n:] == -1).all()
-    assert noisy.noise_mask[-n:].all()
-    assert not noisy.noise_mask[:200].any()
+    n = noise_count(200, 0.25)
+    assert noisy.n == 200 + n
+    assert (noisy.truth_labels[-n:] == -1).all()
+    assert not (noisy.truth_labels[:200] == -1).any()
+    assert np.array_equal(noisy.points[:200], data.points)
 
 
 def test_noise_fraction_close_to_level():
     data, labels = generate_blobs(separated_blobs_spec(4, 200, rng_seed=10))
     for level in (0.1, 0.25, 0.4):
         noisy = add_background_noise(data, labels, NoiseSpec(level=level, rng_seed=3))
-        total = noisy.dataset.n
-        achieved = noisy.n_noise / total
+        total = noisy.n
+        achieved = (noisy.truth_labels == -1).sum() / total
         assert abs(achieved - level) <= 1.0 / total
-
-
-def test_noise_respects_explicit_bounds():
-    data, labels = generate_blobs(separated_blobs_spec(2, 20, rng_seed=11))
-    bounds = ((-100.0, -90.0), (50.0, 60.0))
-    noisy = add_background_noise(
-        data, labels, NoiseSpec(level=0.5, bounds=bounds, rng_seed=4)
-    )
-    noise_pts = noisy.dataset.points[noisy.noise_mask]
-    assert (noise_pts[:, 0] >= -100).all() and (noise_pts[:, 0] <= -90).all()
-    assert (noise_pts[:, 1] >= 50).all() and (noise_pts[:, 1] <= 60).all()
 
 
 def test_noise_default_box_pads_bounding_box():
@@ -163,7 +140,7 @@ def test_noise_default_box_pads_bounding_box():
     noisy = add_background_noise(data, labels, NoiseSpec(level=0.5, rng_seed=5, pad=0.10))
     lo, hi = data.points.min(0), data.points.max(0)
     span = hi - lo
-    pts = noisy.dataset.points[noisy.noise_mask]
+    pts = noisy.points[noisy.truth_labels == -1]
     assert (pts >= lo - 0.10 * span - 1e-9).all()
     assert (pts <= hi + 0.10 * span + 1e-9).all()
 
@@ -173,8 +150,6 @@ def test_noise_level_validation():
         NoiseSpec(level=1.0)
     with pytest.raises(ValueError):
         NoiseSpec(level=-0.1)
-    with pytest.raises(ValueError):
-        NoiseSpec(level=0.2, bounds=((1.0, 1.0),))
 
 
 def test_blob_spec_validation():

@@ -9,14 +9,14 @@ fewer than k distinct points, raise ValueError. A center is its members'
 coordinate sums in index order (``np.bincount``) over its size: for d >= 2
 the bits of their axis-0 mean.
 
-Lloyd skips points by Hamerly's bounds (*Making k-means even faster*, SDM
-2010) and no result depends on them. After an update a point keeps its
-label if u + delta < max(s, l): u is its distance to its center (from the
-squares the SSE sums), s half that center's distance to its nearest other,
-l its last full row's second-nearest distance less the largest center shift
-of each update since. Other points get full rows from the kernel of a full
-assignment (same bits, ties to the smaller id). The first assignment, and
-any that empties a cluster, is full, feeds the repair and resets every l.
+Lloyd skips points by Hamerly's lower bound (*Making k-means even faster*,
+SDM 2010) and no result depends on it. After an update a point keeps its
+label if u + delta < l: u is its distance to its center (from the squares
+the SSE sums), l its last full row's second-nearest distance less the
+largest center shift of each update since. Other points get full rows from
+the kernel of a full assignment (same bits, ties to the smaller id). The
+first assignment, and any that empties a cluster, is full, feeds the repair
+and resets every l.
 Why that is exact: every distance in play is below R, the diagonal of the
 box around the points and initial centers widened by how far rounding can
 carry a mean out of it. Computed distances are within (d/2 + 2) 2**-53 R and
@@ -25,6 +25,14 @@ floats are off by under (3d + T + 11) 2**-53 R. delta = (3d + max_iters + 16)
 2**-40 R is 8,192 times that: a kept point's center is nearer than any other
 by more than the kernel's rounding, so a full row gives the same label,
 untied. Points within delta of a tie are always recomputed.
+
+Global k-means++ hands each candidate that first assignment: one kernel
+call gives every point's nearest, argmin and second-nearest of the shared
+k-1 centers, one more its distances to the candidates. A point goes to the
+new center only if strictly nearer (ties keep the smaller id), and l is the
+nearer of the rest. Kernel entries are the same coordinate-wise differences
+as in the k-center kernel and min and argmin are exact, so these are the
+full step's bits; a candidate that would empty a cluster runs the full step.
 """
 
 from __future__ import annotations
@@ -123,10 +131,12 @@ def _full_step(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.
     return labels, np.sqrt(d2.min(axis=1))
 
 
-def lloyd(data: Dataset, initial_centers: np.ndarray, config: KMeansConfig) -> KMeansResult:
+def lloyd(data: Dataset, initial_centers: np.ndarray, config: KMeansConfig, first=None) -> KMeansResult:
     """Alternate assignment and mean updates until the labels stop changing,
     the SSE improvement falls below ``tol`` (relative), or ``max_iters``
-    updates have run; the bounds only pick which points to reassign."""
+    updates have run; the bounds only pick which points to reassign.
+    ``first`` replaces the first ``_full_step``: its (labels, l) bits for the
+    initial centers, no cluster empty, as arrays that ``lloyd`` may write."""
     points = data.points
     points_t = np.ascontiguousarray(points.T)
     centers = np.array(initial_centers, dtype=np.float64, copy=True)
@@ -141,7 +151,7 @@ def lloyd(data: Dataset, initial_centers: np.ndarray, config: KMeansConfig) -> K
     hi = np.maximum(points_t.max(axis=1), centers.max(axis=0))
     reach = np.sqrt(((hi - lo) ** 2).sum()) + 2 * data.dim**0.5 * data.n * 2.0**-52 * np.maximum(-lo, hi).max()
     delta = (3 * data.dim + config.max_iters + 16) * 2.0**-40 * reach
-    labels, lower = _full_step(points, centers)
+    labels, lower = _full_step(points, centers) if first is None else first
     sizes = np.bincount(labels, minlength=k)
     prev_sse = None
     iterations = 0
@@ -154,10 +164,7 @@ def lloyd(data: Dataset, initial_centers: np.ndarray, config: KMeansConfig) -> K
         tol_met = prev_sse is not None and prev_sse - sse <= config.tol * prev_sse
         prev_sse = sse
         lower -= np.sqrt(((centers - old) ** 2).sum(axis=1)).max()
-        between = _sq_distances(np.ascontiguousarray(centers.T), centers)
-        np.fill_diagonal(between, np.inf)
-        keep_below = np.maximum(0.5 * np.sqrt(between.min(axis=1))[labels], lower)
-        near = np.flatnonzero(np.sqrt(np.einsum("ij->i", sq)) + delta >= keep_below)
+        near = np.flatnonzero(np.sqrt(np.einsum("ij->i", sq)) + delta >= lower)
         d2 = _sq_distances(points_t[:, near], centers)
         moved = d2.argmin(axis=1)
         d2[np.arange(len(near)), moved] = np.inf
@@ -175,12 +182,6 @@ def lloyd(data: Dataset, initial_centers: np.ndarray, config: KMeansConfig) -> K
             sse = float(((points - np.take(centers, labels, axis=0)) ** 2).sum())
             break
     return KMeansResult(centers, Labeling(labels, k), sse, iterations, converged)
-
-
-def _min_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distance from each point to its nearest center, the min taken
-    down the rows of a k x N buffer as in ``_assign``."""
-    return _sq_distances(np.ascontiguousarray(centers.T), points).min(axis=0)
 
 
 def global_kmeanspp(data: Dataset, k_max: int, config: KMeansConfig) -> dict[int, KMeansResult]:
@@ -205,19 +206,27 @@ def global_kmeanspp(data: Dataset, k_max: int, config: KMeansConfig) -> dict[int
 
     for k in range(2, k_max + 1):
         base = results[k - 1].centers
-        d2 = _min_sq_dist(points, base)
-        total = d2.sum()
-        n_nonzero = int((d2 > 0).sum())
-        if total > 0 and n_nonzero >= 1:
-            p = d2 / total
+        d2 = _sq_distances(np.ascontiguousarray(base.T), points)
+        base_labels = d2.argmin(axis=0)
+        nearest = d2.min(axis=0)
+        d2[base_labels, np.arange(data.n)] = np.inf
+        second = d2.min(axis=0)
+        total = nearest.sum()
+        n_nonzero = int((nearest > 0).sum())
+        if total > 0:
             size = min(config.n_candidates, n_nonzero)
-            candidates = rng.choice(data.n, size=size, replace=False, p=p)
+            candidates = rng.choice(data.n, size=size, replace=False, p=nearest / total)
         else:
             candidates = rng.choice(data.n, size=min(config.n_candidates, data.n), replace=False)
+        dnew = _sq_distances(np.ascontiguousarray(points[candidates].T), points)
         best: KMeansResult | None = None
-        for idx in candidates:
+        for idx, to_new in zip(candidates, dnew):
             trial = np.vstack([base, points[int(idx)]])
-            result = lloyd(data, trial, config)
+            wins = to_new < nearest
+            labels = np.where(wins, k - 1, base_labels)
+            lower = np.sqrt(np.where(wins, nearest, np.minimum(second, to_new)))
+            first = (labels, lower) if np.bincount(labels, minlength=k).all() else None
+            result = lloyd(data, trial, config, first=first)
             if best is None or result.sse < best.sse:
                 best = result
         results[k] = best

@@ -60,27 +60,26 @@ class ColumnSchema:
     @classmethod
     def from_file(cls, path) -> "ColumnSchema":
         """Load a schema config: {"columns": [kind, ...], "missing": [...],
-        "header": bool, "delimiter": ","}. Only "columns" is required."""
-        with Path(path).open(encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError(f"schema {path}: expected a JSON object")
-        missing = raw.get("missing", list(DEFAULT_SENTINELS))
-        header = raw.get("header", False)
-        delimiter = raw.get("delimiter", ",")
-        for key, value in (("columns", raw.get("columns")), ("missing", missing)):
-            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-                raise ValueError(f'schema {path}: "{key}" must be a list of strings')
-        if not isinstance(header, bool):
-            raise ValueError(f'schema {path}: "header" must be true or false, got {header!r}')
-        if not (isinstance(delimiter, str) and len(delimiter) == 1):
-            raise ValueError(f'schema {path}: "delimiter" must be one character, got {delimiter!r}')
-        return cls(
-            kinds=tuple(raw["columns"]),
-            missing_sentinels=tuple(missing),
-            has_header=header,
-            delimiter=delimiter,
-        )
+        "header": bool, "delimiter": ","}. Only "columns" is required. Every
+        fault in the file is a ValueError that names it."""
+        try:
+            with Path(path).open(encoding="utf-8") as fh:
+                raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError("expected a JSON object")
+            missing = raw.get("missing", list(DEFAULT_SENTINELS))
+            header = raw.get("header", False)
+            delimiter = raw.get("delimiter", ",")
+            for key, value in (("columns", raw.get("columns")), ("missing", missing)):
+                if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                    raise ValueError(f'"{key}" must be a list of strings')
+            if not isinstance(header, bool):
+                raise ValueError(f'"header" must be true or false, got {header!r}')
+            if not (isinstance(delimiter, str) and len(delimiter) == 1):
+                raise ValueError(f'"delimiter" must be one character, got {delimiter!r}')
+            return cls(tuple(raw["columns"]), tuple(missing), header, delimiter)
+        except ValueError as exc:
+            raise ValueError(f"schema {path}: {exc}") from None
 
 
 def _ragged(where: str, row: list[str], width: int) -> str:
@@ -100,12 +99,13 @@ def load_csv(path, schema: ColumnSchema) -> Dataset:
     sorted order into ``truth_labels``.
     """
     path = Path(path)
+    width = len(schema.kinds)
+    blank = [""] * (width == 1)  # a blank line is one empty cell, else no row
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
-        rows = [row for row in reader if row and not row[0].startswith("#")]
+        rows = [row for row in (r or blank for r in reader) if row and not row[0].startswith("#")]
     if len(rows) < 1 + schema.has_header:
         raise ValueError(f"{path}: no data rows")
-    width = len(schema.kinds)
     if schema.has_header:
         header, rows = rows[0], rows[1:]
         if len(header) != width:

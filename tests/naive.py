@@ -3,8 +3,10 @@ library's accumulation path: per-point loops, per-cluster masks, plain
 means. Used to pin down expected values in the tests.
 
 Also the broadcast distance formula the library's per-coordinate kernel
-replaced, kept as the bitwise reference for d < 8, and the unbounded Lloyd
-loop, kept as the bitwise reference for the bounded one."""
+replaced, kept as the bitwise reference for d < 8, the unbounded Lloyd
+loop, kept as the bitwise reference for the bounded one, and the global
+k-means++ loop with a cold Lloyd start per candidate, kept as the bitwise
+reference for the warm-started one."""
 
 import numpy as np
 
@@ -74,3 +76,35 @@ def reference_lloyd(points, initial_centers, max_iters, tol):
     final_labels = _repair_empty(points, centers, final_labels, d2)
     sse = float(((points - centers[final_labels]) ** 2).sum())
     return centers, final_labels, sse, iterations
+
+
+def reference_global_kmeanspp(data, k_max, config):
+    """Global k-means++ as it ran before the warm start: the draw's squared
+    distances from a full assignment to the k-1 centers, and a cold ``lloyd``
+    (full first assignment and repair) for every candidate. Returns the
+    solution for every k in 1..k_max."""
+    from silkit.clustering import KMeansResult, _assign, lloyd
+    from silkit.core import Labeling
+
+    rng = np.random.default_rng(config.rng_seed)
+    points = data.points
+    mean = points.mean(axis=0)[None, :]
+    sse1 = float(((points - mean[0]) ** 2).sum())
+    results = {1: KMeansResult(mean, Labeling(np.zeros(data.n, dtype=np.int64), 1), sse1, 1, True)}
+    for k in range(2, k_max + 1):
+        base = results[k - 1].centers
+        d2 = _assign(points, base)[1].min(axis=1)
+        total = d2.sum()
+        n_nonzero = int((d2 > 0).sum())
+        if total > 0 and n_nonzero >= 1:
+            size = min(config.n_candidates, n_nonzero)
+            candidates = rng.choice(data.n, size=size, replace=False, p=d2 / total)
+        else:
+            candidates = rng.choice(data.n, size=min(config.n_candidates, data.n), replace=False)
+        best = None
+        for idx in candidates:
+            result = lloyd(data, np.vstack([base, points[int(idx)]]), config)
+            if best is None or result.sse < best.sse:
+                best = result
+        results[k] = best
+    return results

@@ -329,8 +329,11 @@ def test_sweep_with_schema_preprocessing(tmp_path):
         ('{"columns": ["numeric", "label"], "header": "no"}', '"header" must be true or false, got \'no\''),
         ('{"columns": ["numeric", "label"], "missing": "NA"}', '"missing" must be a list of strings'),
         ('{"columns": ["numeric", "label"], "delimiter": ";;"}', '"delimiter" must be one character, got \';;\''),
+        ('{"columns": ', "Expecting value: line 1 column 13 (char 12)"),
+        ('{"columns": ["numeric", "lable"]}', "unknown column kind 'lable'"),
     ],
-    ids=["no-columns", "list", "non-string-kind", "string-header", "string-missing", "long-delimiter"],
+    ids=["no-columns", "list", "non-string-kind", "string-header", "string-missing", "long-delimiter",
+         "truncated", "unknown-kind"],
 )
 def test_bad_schema_file_is_one_line_error(tmp_path, capsys, schema_text, fault):
     raw = tmp_path / "raw.csv"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,14 +9,13 @@ from silkit import clustering
 from silkit.clustering import (
     KMeansConfig,
     _assign,
-    _min_sq_dist,
     global_kmeanspp,
     lloyd,
 )
 from silkit.core import Dataset
 from silkit.synth import generate_blobs, separated_blobs_spec
 
-from naive import broadcast_sq_distances, reference_lloyd
+from naive import broadcast_sq_distances, reference_global_kmeanspp, reference_lloyd
 
 
 def test_lloyd_k1_is_mean_one_iteration():
@@ -207,6 +208,50 @@ def test_global_calls_lloyd_by_name_per_candidate(monkeypatch):
     assert len(calls) == 4 * (6 - 1)
 
 
+def _assert_global_matches_cold_reference(data, k_max, config):
+    try:
+        expected = reference_global_kmeanspp(data, k_max, config)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            global_kmeanspp(data, k_max, config)
+        return
+    results = global_kmeanspp(data, k_max, config)
+    assert sorted(results) == sorted(expected)
+    for k, result in results.items():
+        assert np.array_equal(result.centers, expected[k].centers)
+        assert np.array_equal(result.labeling.assignments, expected[k].labeling.assignments)
+        assert result.sse == expected[k].sse
+        assert result.iterations == expected[k].iterations
+        assert result.converged == expected[k].converged
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 13),
+    kind=KINDS,
+    n_candidates=st.integers(1, 10),
+    tol=st.sampled_from([0.0, 1e-6]),
+    max_iters=st.sampled_from([1, 2, 300]),
+)
+def test_global_bit_identical_to_cold_reference(seed, d, kind, n_candidates, tol, max_iters):
+    # every candidate's warm first assignment must be the cold one's bits
+    points, init = _lloyd_case(seed, d, kind)
+    config = KMeansConfig(max_iters=max_iters, tol=tol, rng_seed=seed, n_candidates=n_candidates)
+    _assert_global_matches_cold_reference(Dataset(points), len(init), config)
+
+
+@pytest.mark.parametrize("rng_seed", range(8))
+def test_global_warm_start_tie_goes_to_base_center(rng_seed):
+    # on the line t * (1, 2) + 1e8 the k=1 center is t = 4; the candidates at
+    # t = 0 and 8 are drawn with probability 0.8, and then the point at t = 2
+    # or 6 is exactly as far from that candidate as from the base center, so
+    # it starts in cluster 0, and Lloyd takes one more iteration to move it
+    t = np.array([0.0, 4.0, 8.0, 2.0, 6.0])
+    data = Dataset(t[:, None] * np.array([1.0, 2.0]) + 1e8)
+    _assert_global_matches_cold_reference(data, 3, KMeansConfig(rng_seed=rng_seed, n_candidates=1))
+
+
 TWO_POINTS = Dataset([[0.0, 0.0]] * 4 + [[1.0, 1.0]] * 4)
 
 
@@ -287,7 +332,6 @@ def test_assign_bit_identical_to_broadcast_formula(seed, d, k):
     labels, d2 = _assign(points, centers)
     assert np.array_equal(d2, expected)
     assert np.array_equal(labels, expected.argmin(axis=1))
-    assert np.array_equal(_min_sq_dist(points, centers), expected.min(axis=1))
 
 
 def test_kmeanspp_k_above_n_rejected():

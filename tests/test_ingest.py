@@ -111,6 +111,15 @@ def test_impute_two_missing(tmp_path):
     assert data.points[:, 0].tolist() == [0.0, 0.375, 0.125, 0.375, 1.0]
 
 
+def test_one_column_blank_line_is_a_missing_cell(tmp_path):
+    # present values 1 and 3: the blank line is row 2 and takes their mean 2
+    data = load_text(tmp_path, "x\n1\n\n3\n", ["numeric"], has_header=True)
+    assert data.points[:, 0].tolist() == [0.0, 0.5, 1.0]
+    # with two columns a blank line is no row
+    data = load_text(tmp_path, "1,a\n\n3,b\n", ["numeric", "categorical"])
+    assert data.n == 2
+
+
 def test_impute_all_missing_rejected(tmp_path):
     with pytest.raises(ValueError, match="column 'c0' has no present values"):
         load_text(tmp_path, "NA,1\n?,2\n", ["numeric", "numeric"])
@@ -205,9 +214,11 @@ def test_load_csv_prepares_every_column(tmp_path_factory, kinds, n, header, labe
         columns.append(cells)
     labels = data.draw(st.lists(st.sampled_from(["x", "y", "z"]), min_size=n, max_size=n))
     schema_kinds = kinds + ["label"] * labelled
-    # "NA", not "": a one-column row with an empty cell is a blank line
+    # a missing cell is written "" or "NA"; a one-column row with "" is a blank line
+    missing = st.sampled_from(["", "NA"])
     text_columns = [
-        ["NA" if v is None else repr(v) if isinstance(v, float) else v for v in col] for col in columns
+        [data.draw(missing) if v is None else repr(v) if isinstance(v, float) else v for v in col]
+        for col in columns
     ]
     if labelled:
         text_columns.append(labels)

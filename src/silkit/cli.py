@@ -369,9 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "threads") and not args.threads:
-        args.threads = os.cpu_count() or 1  # the default: all cores
     try:
+        threads = getattr(args, "threads", 1)
+        if threads is None:
+            args.threads = os.cpu_count() or 1  # the default: all cores
+        elif threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {threads}")
         env_seed = os.environ.get("SIL_SEED")
         if env_seed:
             try:

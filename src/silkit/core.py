@@ -90,14 +90,14 @@ class Labeling:
 
 def _sq_distances(cols_t: np.ndarray, rows: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """m x r squared Euclidean distances from m column points, given as their
-    C-contiguous d x m transpose, to the r x d row points: one coordinate at a
-    time into an m x r buffer (subtract, square in place, add), with no gram
-    shortcut, so nearby points keep their precision. Coordinates add in order
-    from 0, as numpy sums a last axis shorter than 8, so for d < 8 these are
-    the bits of ``(diff * diff).sum(-1)``. A caller that streams many blocks
-    can pass a flat float64 ``work`` array of at least 2 m r elements to hold
-    the two buffers, so it allocates (and page-faults) them once; the result
-    is then a view of ``work``."""
+    d x m transpose (each row contiguous), to the r x d row points: one
+    coordinate at a time into an m x r buffer (subtract, square in place,
+    add), with no gram shortcut, so nearby points keep their precision.
+    Coordinates add in order from 0, as numpy sums a last axis shorter than
+    8, so for d < 8 these are the bits of ``(diff * diff).sum(-1)``. A
+    caller that streams many blocks can pass a flat float64 ``work`` array of
+    at least 2 m r elements to hold the two buffers, so it allocates (and
+    page-faults) them once; the result is then a view of ``work``."""
     m, r = cols_t.shape[1], len(rows)
     if work is None:
         out, buf = np.empty((m, r)), np.empty((m, r))
@@ -111,15 +111,6 @@ def _sq_distances(cols_t: np.ndarray, rows: np.ndarray, work: np.ndarray | None 
     return out
 
 
-def block_rows_for(n: int, dim: int, target_bytes: int = 1 << 24) -> int:
-    """Rows r per block, keeping the kernel's two n x r float64 buffers plus
-    the r x dim rows near target_bytes (2-core Xeon: 8 MB buffers beat 32 MB).
-    A caller that scores blocks on t threads at once uses r // t rows per
-    block, so the t blocks in flight stay within the same bound."""
-    rows = max(1, target_bytes // ((2 * n + dim) * 8))
-    return int(min(rows, n))
-
-
 def pairwise_distances(data: Dataset) -> np.ndarray:
     """Full N x N Euclidean distance matrix (O(N^2) time and memory).
 
@@ -129,7 +120,7 @@ def pairwise_distances(data: Dataset) -> np.ndarray:
     n, points = data.n, data.points
     cols_t = np.ascontiguousarray(points.T)
     out = np.empty((n, n), dtype=np.float64)
-    step = block_rows_for(n, data.dim)
+    step = max(1, (1 << 20) // n)  # two n x step kernel buffers of ~8 MB
     for lo in range(0, n, step):
         np.sqrt(_sq_distances(cols_t, points[lo : lo + step]), out=out[:, lo : lo + step])
     return out

@@ -15,13 +15,17 @@ Conventions (degenerate cases):
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Labeling, _parallel_map, _sq_distances, block_rows_for
+from .core import Dataset, Labeling, _parallel_map, _sq_distances
 
 __all__ = ["SilhouetteUndefinedError", "SilhouetteReport", "full_report"]
+
+# distances per column tile of a block: two float64 kernel buffers of 1 MB
+TILE_ELEMS = 1 << 17
 
 
 class SilhouetteUndefinedError(ValueError):
@@ -65,17 +69,31 @@ def _scores_from_sums(sums: np.ndarray, own: np.ndarray, counts: np.ndarray) -> 
     return s
 
 
+def block_rows_for(n: int, dim: int) -> int:
+    """Rows per ``full_report`` block: tall, so each kernel call spans many
+    rows, and at most 1024, as the column tiles (``TILE_ELEMS``), not the
+    block height, bound the memory."""
+    return min(n, 1024)
+
+
 def full_report(data: Dataset, labels: Labeling, threads: int | None = None) -> SilhouetteReport:
     """Complete silhouette report for a labeled dataset.
 
-    Streams blocks of rows (O(N x block) memory, see ``block_rows_for``)
-    against columns sorted by cluster, so a row's distances to a cluster are
-    one slab, summed in member order whatever block the row lands in: the
-    result does not depend on the block height. With ``threads`` > 1 the
-    blocks are scored on that many threads, each block ``1/threads`` of the
-    serial height, so all threads together hold the serial block's buffer
-    memory. Each block writes only its own rows, so the result does not
-    depend on the thread count either; None or 1 scores serially.
+    Streams tall blocks of rows (``block_rows_for``) against the columns
+    sorted by cluster, so a row's distances to a cluster are one slab. A
+    block walks the columns in tiles of ``TILE_ELEMS // rows`` columns, so
+    the kernel's two buffers stay near 1 MB each, ~2 MB a thread. A slab
+    that spans tiles is folded: before each of its segments is summed, its
+    running sum is copied into the tile row just above the segment (a spare
+    row, or the previous slab's last row, already summed), so every slab sum
+    is one chain in member order whatever the block height or tile width.
+    numpy feeds a broadcast subtraction with rows shorter than ~4096 through
+    its 8192-element ufunc buffer, several times slower than running it
+    unbuffered, so each block sets the buffer to 256 elements
+    (``np.setbufsize``, per thread) and restores it when done. With
+    ``threads`` > 1 the blocks, at most n / threads rows tall, are scored on
+    that many threads. Each block writes only its own rows, so the result
+    does not depend on the thread count either; None or 1 scores serially.
     """
     if labels.n != data.n:
         raise ValueError("labeling length does not match dataset")
@@ -86,28 +104,40 @@ def full_report(data: Dataset, labels: Labeling, threads: int | None = None) -> 
     n, k = data.n, labels.k
     points = data.points
     cols_t = np.ascontiguousarray(points[np.argsort(own, kind="stable")].T)
-    bounds = np.concatenate([[0], np.cumsum(counts)])
+    bounds = [0, *np.cumsum(counts).tolist()]
 
     per_point = np.empty(n, dtype=np.float64)
     workers = max(threads or 1, 1)
     # numpy sums a one-column slab pairwise but a wider one in member order,
     # so no block is left with a single row (n >= 2 once k >= 2)
-    step = max(2, block_rows_for(n, data.dim) // workers)
+    step = max(2, min(block_rows_for(n, data.dim), -(-n // workers)))
     starts = list(range(0, n, step))
     if n - starts[-1] == 1:
         starts.pop()
+    width = max(1, min(n, TILE_ELEMS // step))
     # each thread allocates its kernel buffers once, for the tallest block
     local = threading.local()
 
     def score_block(block: tuple[int, int]) -> None:
         lo, hi = block
+        r = hi - lo
         if not hasattr(local, "work"):
-            local.work = np.empty(2 * n * min(step + 1, n))
-        dist = _sq_distances(cols_t, points[lo:hi], local.work)
-        np.sqrt(dist, out=dist)
-        sums = np.empty((k, hi - lo), dtype=np.float64)
-        for c in range(k):
-            dist[bounds[c] : bounds[c + 1]].sum(axis=0, out=sums[c])
+            local.work = np.empty((2 * width + 1) * (step + 1))
+        sums = np.zeros((k, r))
+        old_bufsize = np.setbufsize(256)
+        try:
+            for t0 in range(0, n, width):
+                t1 = min(t0 + width, n)
+                # row 0 is spare, the tile's distances are rows 1..t1-t0
+                tile = local.work[: (t1 - t0 + 1) * r].reshape(-1, r)
+                dist = _sq_distances(cols_t[:, t0:t1], points[lo:hi], local.work[r:])
+                np.sqrt(dist, out=dist)
+                for c in range(bisect_right(bounds, t0) - 1, bisect_left(bounds, t1)):
+                    s, e = max(bounds[c], t0) - t0, min(bounds[c + 1], t1) - t0
+                    tile[s] = sums[c]
+                    np.add.reduce(tile[s : e + 1], axis=0, out=sums[c])
+        finally:
+            np.setbufsize(old_bufsize)
         per_point[lo:hi] = _scores_from_sums(sums.T, own[lo:hi], counts)
 
     _parallel_map(score_block, zip(starts, starts[1:] + [n]), threads)

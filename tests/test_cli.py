@@ -250,6 +250,26 @@ LEAF_COMMANDS = [
 ]
 
 
+THREADED_COMMANDS = [
+    ["score", "--data", "{data}"],
+    ["nucleus-study", "--sizes", "100"],
+    ["noise-study", "--levels", "0", "--k-max", "3"],
+    ["sample-study", "--sizes", "20", "--runs", "2", "--nucleus", "100", "--summary", "{summary}"],
+]
+
+
+@pytest.mark.parametrize("argv", THREADED_COMMANDS, ids=[argv[0] for argv in THREADED_COMMANDS])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_one_line_error(tmp_path, capsys, argv, threads):
+    data = tmp_path / "data.csv"
+    run(["gen", "blobs", "--k", "2", "--n", "15", "-o", str(data)])
+    out = tmp_path / "out.csv"
+    filled = [a.format(data=data, summary=tmp_path / "summary.csv") for a in argv]
+    assert run(filled + ["--threads", threads, "-o", str(out)]) == 1
+    assert _one_error_line(capsys) == f"error: --threads must be at least 1, got {threads}"
+    assert not out.exists() and not (tmp_path / "summary.csv").exists()
+
+
 @pytest.mark.parametrize("argv", LEAF_COMMANDS, ids=[argv[0] for argv in LEAF_COMMANDS])
 def test_env_seed_recorded_by_every_command(tmp_path, monkeypatch, argv):
     data = tmp_path / "data.csv"

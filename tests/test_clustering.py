@@ -87,9 +87,11 @@ def test_lloyd_repairs_empty_clusters_as_it_goes(points, init, expected):
 
 def _lloyd_case(seed, d, kind):
     """Points and initial centers (some repeated or off the data) of one kind:
-    continuous, few distinct points, an integer grid at a large offset, or
+    continuous, few distinct points, an integer grid at a large offset,
     integer steps along a random line, where exact ties are common and the
-    triangle inequality behind the bounds holds with equality."""
+    triangle inequality behind the bounds holds with equality, or clusters
+    mirror-symmetric about lattice points, which are then their exact means,
+    so a point is often exactly as far from a data point as from a center."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 80))
     if kind == "continuous":
@@ -99,8 +101,13 @@ def _lloyd_case(seed, d, kind):
         points = distinct[rng.integers(0, len(distinct), size=n)]
     elif kind == "grid":
         points = rng.integers(0, 5, size=(n, d)) * 10.0 ** rng.integers(-3, 4) + rng.choice([0.0, 1e8, -3e5])
-    else:
+    elif kind == "line":
         points = rng.integers(-4, 5, size=(n, 1)) * rng.normal(size=d)
+    else:
+        centers = rng.integers(-3, 4, size=(int(rng.integers(1, 5)), d)) * 10.0
+        half = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), d))
+        points = (centers[:, None] + np.vstack([half, -half])).reshape(-1, d)
+        n = len(points)
     k = int(rng.integers(1, min(n, 12) + 1))
     init = points[rng.integers(0, n, size=k)]
     if rng.random() < 0.25:
@@ -108,7 +115,7 @@ def _lloyd_case(seed, d, kind):
     return points, init
 
 
-KINDS = st.sampled_from(["continuous", "duplicates", "grid", "line"])
+KINDS = st.sampled_from(["continuous", "duplicates", "grid", "line", "mirror"])
 
 
 @settings(max_examples=300, deadline=None)

@@ -202,11 +202,11 @@ def test_full_report_threads_bit_identical(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def _kernel_instance(seed, d, height_frac):
-    """Random instance (duplicates and singleton clusters included) and a
-    block height between 2 and n."""
+def _kernel_instance(seed, d, height_frac, n=None):
+    """Random instance (duplicates and singleton clusters included), of n
+    rows or a drawn 3..59, and a block height between 2 and n."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 60))
+    n = int(rng.integers(3, 60)) if n is None else n
     k = int(rng.integers(2, min(6, n) + 1))
     pts = rng.normal(scale=rng.uniform(0.1, 10.0), size=(n, d))
     if seed % 3 == 0:
@@ -231,6 +231,49 @@ def test_full_report_bit_identical_to_broadcast_formula(seed, d, height_frac):
     own, counts = labels.assignments, labels.cluster_sizes()
     sums = gathered_cluster_sums(data.points, own, labels.k)
     assert np.array_equal(report.per_point, silhouette._scores_from_sums(sums, own, counts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 150),
+    d=st.integers(1, 7),
+    height=st.floats(0.0, 1.0),
+    width=st.floats(0.0, 1.0),
+    threads=st.integers(1, 3),
+)
+def test_full_report_tiles_bit_identical(seed, n, d, height, width, threads):
+    # a slab cut by tile edges is folded into one member-order chain, so any
+    # block height, tile width and thread count gives the gathered sums' bits
+    data, labels, _ = _kernel_instance(seed, d, 0.0, n)
+    rows = 1 + int(height * (n - 1))
+    # one thread scores max(2, rows)-row blocks, so the tile is 1..n columns
+    tile_elems = (1 + int(width * (n - 1))) * max(2, rows)
+    with (
+        mock.patch.object(silhouette, "block_rows_for", lambda n, dim: rows),
+        mock.patch.object(silhouette, "TILE_ELEMS", tile_elems),
+    ):
+        report = full_report(data, labels, threads)
+    own, counts = labels.assignments, labels.cluster_sizes()
+    sums = gathered_cluster_sums(data.points, own, labels.k)
+    assert report.per_point.tobytes() == silhouette._scores_from_sums(sums, own, counts).tobytes()
+
+
+@pytest.mark.parametrize("threads", [None, 3])
+def test_full_report_restores_ufunc_buffer_size(threads):
+    # each block shrinks numpy's ufunc buffer and restores it when done
+    default = np.getbufsize()
+    full_report(PAIRS, PAIRS_LABELS, threads)
+    assert np.getbufsize() == default
+    np.setbufsize(16384)
+    try:
+        full_report(PAIRS, PAIRS_LABELS, threads)
+        assert np.getbufsize() == 16384
+        with pytest.raises(SilhouetteUndefinedError):
+            full_report(PAIRS, Labeling(np.zeros(4, dtype=np.int64), k=1), threads)
+        assert np.getbufsize() == 16384
+    finally:
+        np.setbufsize(default)
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,11 +7,10 @@ __version__ = "0.1.0"
 from .clustering import KMeansConfig, KMeansResult, global_kmeanspp, lloyd
 from .core import Dataset, Labeling, canonicalize_labels, pairwise_distances
 from .kselect import SweepResult, SweepRow, sweep
-from .sampling import MonteCarloCell, SampleResult, SampleSpec, monte_carlo_study, sample_and_score
+from .sampling import MonteCarloCell, SampleResult, monte_carlo_study, sample_and_score
 from .silhouette import SilhouetteReport, SilhouetteUndefinedError, full_report
 from .synth import (
     BlobSpec,
-    NoiseSpec,
     add_background_noise,
     generate_blobs,
     grow_nucleus,
@@ -29,7 +28,6 @@ __all__ = [
     "SilhouetteReport",
     "SilhouetteUndefinedError",
     "full_report",
-    "SampleSpec",
     "SampleResult",
     "MonteCarloCell",
     "sample_and_score",
@@ -42,7 +40,6 @@ __all__ = [
     "SweepResult",
     "sweep",
     "BlobSpec",
-    "NoiseSpec",
     "generate_blobs",
     "grow_nucleus",
     "randomize_except",

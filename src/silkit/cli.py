@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,36 +24,46 @@ from .clustering import KMeansConfig, global_kmeanspp
 from .core import Dataset, Labeling, canonicalize_labels
 from .experiments import (
     NOISE_STUDY_PAD,
-    NUCLEUS_STDDEV,
+    NoiseStudyRow,
+    NucleusStudyRow,
+    imbalance_dataset,
     noise_study,
     nucleus_study,
     sample_study,
 )
 from .ingest import ColumnSchema, load_csv, read_dataset_csv, write_csv, write_dataset_csv
-from .kselect import sweep
-from .sampling import SampleSpec, sample_and_score
+from .kselect import SweepRow, sweep
+from .sampling import sample_and_score
 from .silhouette import full_report
-from .synth import (
-    NUCLEUS_CLUSTER,
-    NoiseSpec,
-    add_background_noise,
-    generate_blobs,
-    grow_nucleus,
-    imbalance_demo_spec,
-    separated_blobs_spec,
-)
+from .synth import add_background_noise, generate_blobs, separated_blobs_spec
 
 PROFILES = ("even", "varied")
 
+# parsed arguments that do not shape a command's results: dispatch, output
+# paths, the thread count and the output format; --schema is recorded only
+# when given, so the configs of canonical-CSV runs keep their bytes
+UNRECORDED = frozenset(
+    ("func", "generator", "output", "summary", "threads", "format", "schema", "prepared_out")
+)
 
-def _config(args: argparse.Namespace, keys: list[str]) -> dict:
-    resolved = {"command": args.command, "version": __version__, "seed": args.seed}
-    for key in keys:
-        value = getattr(args, key)
+
+def _config(args: argparse.Namespace) -> dict:
+    """Every parsed argument that shapes the output, plus the version."""
+    resolved = {"version": __version__}
+    for key, value in vars(args).items():
+        if key in UNRECORDED:
+            continue
         if isinstance(value, (list, tuple)):
             value = ",".join(str(v) for v in value)
         resolved[key.replace("_", "-")] = value
+    if getattr(args, "schema", None):
+        resolved["schema"] = args.schema
     return resolved
+
+
+def _write_records(path, config: dict, row_type, rows):
+    """CSV of dataclass records: the field names, then one row per record."""
+    write_csv(path, config, [f.name for f in fields(row_type)], [astuple(r) for r in rows])
 
 
 def _write_json(path, payload: dict):
@@ -100,25 +111,22 @@ def _float_list(text: str) -> list[float]:
 
 
 def cmd_gen(args) -> int:
+    if args.nucleus_extra < 0:
+        raise ValueError(f"--nucleus-extra must be at least 0, got {args.nucleus_extra}")
+    if not 0 <= args.noise_pct < 100:
+        raise ValueError(f"--noise-pct must be in [0, 100), got {args.noise_pct}")
     if args.profile == "varied" or args.nucleus_extra > 0:
-        spec = imbalance_demo_spec(args.n, args.seed)
-        if args.k != len(spec.centers):
+        data, labels = imbalance_dataset(args.n + args.nucleus_extra, args.n, args.seed)
+        if args.k != labels.k:
             raise ValueError(
-                f"the varied profile is the {len(spec.centers)}-cluster demo layout; use --k {len(spec.centers)}"
+                f"the varied profile is the {labels.k}-cluster demo layout; use --k {labels.k}"
             )
     else:
-        spec = separated_blobs_spec(args.k, args.n, args.seed, stddev=args.stddev)
-    data, labels = generate_blobs(spec)
-    if args.nucleus_extra > 0:
-        rng = np.random.default_rng(args.seed + 1)
-        data, labels = grow_nucleus(
-            data, labels, NUCLEUS_CLUSTER, args.nucleus_extra, NUCLEUS_STDDEV, rng
+        data, labels = generate_blobs(
+            separated_blobs_spec(args.k, args.n, args.seed, stddev=args.stddev)
         )
-    if args.noise_pct > 0:
-        noise = NoiseSpec(level=args.noise_pct / 100.0, rng_seed=args.seed + 2, pad=args.noise_pad)
-        data = add_background_noise(data, labels, noise)
-    config = _config(args, ["k", "n", "profile", "nucleus_extra", "noise_pct", "noise_pad", "stddev"])
-    write_dataset_csv(args.output, data, header_lines=config)
+    data = add_background_noise(data, labels, args.noise_pct / 100.0, args.seed + 2, args.noise_pad)
+    write_dataset_csv(args.output, data, header_lines=_config(args))
     print(f"wrote {data.n} rows to {args.output}")
     return 0
 
@@ -126,11 +134,9 @@ def cmd_gen(args) -> int:
 def cmd_score(args) -> int:
     data = _load_dataset(args)
     labels = _load_labels(args, data)
-    config = _config(args, ["data", "labels", "sample", "strategy"])
-    payload = {"config": config}
-    if args.sample:
-        spec = SampleSpec(args.strategy, args.sample, args.seed)
-        result = sample_and_score(data, labels, spec)
+    payload = {"config": _config(args)}
+    if args.sample is not None:
+        result = sample_and_score(data, labels, args.strategy, args.sample, args.seed)
         payload["sample"] = {
             "strategy": args.strategy,
             "size": args.sample,
@@ -155,8 +161,7 @@ def cmd_cluster(args) -> int:
     data = _load_dataset(args)
     config_obj = KMeansConfig(rng_seed=args.seed, n_candidates=args.candidates)
     result = global_kmeanspp(data, args.k, config_obj)[args.k]
-    config = _config(args, ["data", "k", "candidates"])
-    _write_json(args.output, {"config": config, **result.to_dict()})
+    _write_json(args.output, {"config": _config(args), **result.to_dict()})
     print(f"k={args.k} sse={result.sse:.6g} -> {args.output}")
     return 0
 
@@ -167,48 +172,24 @@ def cmd_sweep(args) -> int:
     result = sweep(
         data, args.k_min, args.k_max, config_obj, sample_size=args.sample, sample_strategy=args.strategy
     )
-    config = _config(args, ["data", "k_min", "k_max", "sample", "strategy", "candidates"])
-    config["argmax-micro"] = result.argmax_micro
-    config["argmax-macro"] = result.argmax_macro
+    micro, macro = result.argmax_micro, result.argmax_macro
+    config = {**_config(args), "argmax-micro": micro, "argmax-macro": macro}
     if args.format == "json":
-        _write_json(
-            args.output,
-            {
-                "config": config,
-                "rows": [
-                    {"k": r.k, "micro": r.micro, "macro": r.macro, "sse": r.sse}
-                    for r in result.rows
-                ],
-                "argmax_micro": result.argmax_micro,
-                "argmax_macro": result.argmax_macro,
-            },
-        )
+        rows = [asdict(r) for r in result.rows]
+        payload = {"config": config, "rows": rows, "argmax_micro": micro, "argmax_macro": macro}
+        _write_json(args.output, payload)
     else:
-        write_csv(
-            args.output,
-            config,
-            ["k", "micro", "macro", "sse"],
-            [[r.k, r.micro, r.macro, r.sse] for r in result.rows],
-        )
+        _write_records(args.output, config, SweepRow, result.rows)
     print(
-        f"swept k in [{args.k_min}, {args.k_max}]: argmax_micro={result.argmax_micro} "
-        f"argmax_macro={result.argmax_macro} -> {args.output}"
+        f"swept k in [{args.k_min}, {args.k_max}]: argmax_micro={micro} "
+        f"argmax_macro={macro} -> {args.output}"
     )
     return 0
 
 
 def cmd_nucleus_study(args) -> int:
     rows = nucleus_study(args.sizes, seed=args.seed, threads=args.threads)
-    config = _config(args, ["sizes"])
-    write_csv(
-        args.output,
-        config,
-        ["nucleus_size", "micro_randomized", "macro_randomized", "micro_truth", "macro_truth"],
-        [
-            [r.nucleus_size, r.micro_randomized, r.macro_randomized, r.micro_truth, r.macro_truth]
-            for r in rows
-        ],
-    )
+    _write_records(args.output, _config(args), NucleusStudyRow, rows)
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
@@ -223,13 +204,7 @@ def cmd_noise_study(args) -> int:
         noise_pad=args.noise_pad,
         threads=args.threads,
     )
-    config = _config(args, ["levels", "k_min", "k_max", "cluster_seed", "noise_pad"])
-    write_csv(
-        args.output,
-        config,
-        ["level_pct", "n_noise", "estimate_micro", "estimate_macro"],
-        [[r.level_pct, r.n_noise, r.estimate_micro, r.estimate_macro] for r in rows],
-    )
+    _write_records(args.output, _config(args), NoiseStudyRow, rows)
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
@@ -244,7 +219,7 @@ def cmd_sample_study(args) -> int:
         statistic=args.statistic,
         threads=args.threads,
     )
-    config = _config(args, ["sizes", "runs", "nucleus", "statistic", "sample_seed_base"])
+    config = _config(args)
     config["full-score"] = result.full_score
     run_rows = [
         [cell.size, cell.strategy, run, "" if np.isnan(score) else score, not np.isnan(score)]
@@ -252,24 +227,9 @@ def cmd_sample_study(args) -> int:
         for run, score in enumerate(cell.scores)
     ]
     write_csv(args.output, config, ["L", "strategy", "run", "score", "defined"], run_rows)
-    summary_rows = [
-        [
-            c.size,
-            c.strategy,
-            c.median,
-            c.whisker_low,
-            c.whisker_high,
-            c.whisker_range,
-            c.undefined_runs,
-        ]
-        for c in result.cells
-    ]
-    write_csv(
-        args.summary,
-        config,
-        ["L", "strategy", "median", "whisker_low", "whisker_high", "whisker_range", "undefined_runs"],
-        summary_rows,
-    )
+    stats = ["median", "whisker_low", "whisker_high", "whisker_range", "undefined_runs"]
+    summary_rows = [[c.size, c.strategy, *(getattr(c, s) for s in stats)] for c in result.cells]
+    write_csv(args.summary, config, ["L", "strategy", *stats], summary_rows)
     print(f"wrote {len(run_rows)} runs to {args.output} and summary to {args.summary}")
     return 0
 

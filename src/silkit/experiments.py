@@ -19,7 +19,6 @@ from .sampling import MonteCarloCell, monte_carlo_study
 from .silhouette import full_report
 from .synth import (
     NUCLEUS_CLUSTER,
-    NoiseSpec,
     add_background_noise,
     generate_blobs,
     grow_nucleus,
@@ -143,12 +142,9 @@ def noise_study(
 
     def one(item) -> NoiseStudyRow:
         index, level = item
-        spec = NoiseSpec(
-            level=level / 100.0,
-            rng_seed=seed + _NOISE_OFFSET + index,
-            pad=noise_pad,
+        noisy = add_background_noise(
+            base, base_labels, level / 100.0, seed + _NOISE_OFFSET + index, noise_pad
         )
-        noisy = add_background_noise(base, base_labels, spec)
         result = sweep(noisy, k_min, k_max, KMeansConfig(rng_seed=cluster_seed))
         return NoiseStudyRow(
             level_pct=float(level),

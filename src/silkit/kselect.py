@@ -14,7 +14,7 @@ import numpy as np
 
 from .clustering import KMeansConfig, global_kmeanspp
 from .core import Dataset
-from .sampling import SampleSpec, sample_and_score
+from .sampling import sample_and_score
 from .silhouette import full_report
 
 __all__ = ["SweepRow", "SweepResult", "sweep"]
@@ -68,8 +68,9 @@ def sweep(
         result = solutions[k]
         labeling = result.labeling
         if sample_size is not None and sample_size < data.n:
-            spec = SampleSpec(sample_strategy, sample_size, config.rng_seed + k)
-            scored = sample_and_score(data, labeling, spec)
+            scored = sample_and_score(
+                data, labeling, sample_strategy, sample_size, config.rng_seed + k
+            )
             if not scored.defined:
                 raise ValueError(
                     f"subsample at k={k} lost all but one cluster; enlarge sample_size"

@@ -23,7 +23,6 @@ from .core import Dataset, Labeling, _canonicalize_with_ids, _parallel_map
 from .silhouette import SilhouetteReport, full_report
 
 __all__ = [
-    "SampleSpec",
     "SampleResult",
     "sample_and_score",
     "MonteCarloCell",
@@ -32,19 +31,6 @@ __all__ = [
 ]
 
 STRATEGIES = ("uniform", "balanced")
-
-
-@dataclass(frozen=True)
-class SampleSpec:
-    strategy: str
-    size: int
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}")
-        if self.size < 2:
-            raise ValueError("sample size must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -89,20 +75,24 @@ def balanced_allocation(cluster_sizes: np.ndarray, budget: int) -> np.ndarray:
     return alloc
 
 
-def sample_and_score(data: Dataset, labels: Labeling, spec: SampleSpec) -> SampleResult:
-    """Draw ``spec.size`` row indices with ``spec.strategy`` and score the
-    subsample: uniform draws without replacement over all rows; balanced
-    draws each cluster's ``balanced_allocation`` count from its members, in
-    cluster order from the same rng."""
-    if spec.size > data.n:
-        raise ValueError(f"sample size {spec.size} exceeds dataset size {data.n}")
-    rng = np.random.default_rng(spec.rng_seed)
-    if spec.strategy == "uniform":
-        indices = rng.choice(data.n, size=spec.size, replace=False)
+def sample_and_score(
+    data: Dataset, labels: Labeling, strategy: str, size: int, seed: int
+) -> SampleResult:
+    """Draw ``size`` row indices with ``strategy``, from an rng seeded with
+    ``seed``, and score the subsample: uniform draws without replacement
+    over all rows; balanced draws each cluster's ``balanced_allocation``
+    count from its members, in cluster order from the same rng."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    if not 2 <= size <= data.n:
+        raise ValueError(f"sample size must be in [2, {data.n}] (the dataset size), got {size}")
+    rng = np.random.default_rng(seed)
+    if strategy == "uniform":
+        indices = rng.choice(data.n, size=size, replace=False)
     else:
         if labels.k < 2:
             raise ValueError("balanced sampling requires at least two clusters")
-        alloc = balanced_allocation(labels.cluster_sizes(), spec.size)
+        alloc = balanced_allocation(labels.cluster_sizes(), size)
         indices = np.concatenate(
             [rng.choice(labels.members(c), size=int(alloc[c]), replace=False) for c in range(labels.k)]
         )
@@ -183,8 +173,7 @@ def monte_carlo_study(
 
     def one(task):
         size, strategy, run = task
-        spec = SampleSpec(strategy, size, seed_base + run)
-        return _study_score(sample_and_score(data, labels, spec), statistic)
+        return _study_score(sample_and_score(data, labels, strategy, size, seed_base + run), statistic)
 
     flat = _parallel_map(one, tasks, threads)
 

@@ -24,6 +24,9 @@ from .core import Dataset, Labeling, _parallel_map, _sq_distances
 
 __all__ = ["SilhouetteUndefinedError", "SilhouetteReport", "full_report"]
 
+# rows per block: tall, so each kernel call spans many rows; the column
+# tiles, not the block height, bound the memory
+BLOCK_ROWS = 1024
 # distances per column tile of a block: two float64 kernel buffers of 1 MB
 TILE_ELEMS = 1 << 17
 
@@ -69,17 +72,10 @@ def _scores_from_sums(sums: np.ndarray, own: np.ndarray, counts: np.ndarray) -> 
     return s
 
 
-def block_rows_for(n: int, dim: int) -> int:
-    """Rows per ``full_report`` block: tall, so each kernel call spans many
-    rows, and at most 1024, as the column tiles (``TILE_ELEMS``), not the
-    block height, bound the memory."""
-    return min(n, 1024)
-
-
 def full_report(data: Dataset, labels: Labeling, threads: int | None = None) -> SilhouetteReport:
     """Complete silhouette report for a labeled dataset.
 
-    Streams tall blocks of rows (``block_rows_for``) against the columns
+    Streams tall blocks of up to ``BLOCK_ROWS`` rows against the columns
     sorted by cluster, so a row's distances to a cluster are one slab. A
     block walks the columns in tiles of ``TILE_ELEMS // rows`` columns, so
     the kernel's two buffers stay near 1 MB each, ~2 MB a thread. A slab
@@ -110,7 +106,7 @@ def full_report(data: Dataset, labels: Labeling, threads: int | None = None) -> 
     workers = max(threads or 1, 1)
     # numpy sums a one-column slab pairwise but a wider one in member order,
     # so no block is left with a single row (n >= 2 once k >= 2)
-    step = max(2, min(block_rows_for(n, data.dim), -(-n // workers)))
+    step = max(2, min(n, BLOCK_ROWS, -(-n // workers)))
     starts = list(range(0, n, step))
     if n - starts[-1] == 1:
         starts.pop()

@@ -24,7 +24,6 @@ from .core import Dataset, Labeling, canonicalize_labels
 
 __all__ = [
     "BlobSpec",
-    "NoiseSpec",
     "generate_blobs",
     "grow_nucleus",
     "randomize_except",
@@ -76,20 +75,6 @@ class BlobSpec:
         dims = {len(c) for c in self.centers}
         if len(dims) != 1:
             raise ValueError("all centers must share one dimensionality")
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Uniform background noise: relative level p over the dataset's
-    bounding box expanded by ``pad`` (a fraction of the span) per side."""
-
-    level: float
-    rng_seed: int = 0
-    pad: float = 0.10
-
-    def __post_init__(self):
-        if not 0.0 <= self.level < 1.0:
-            raise ValueError("noise level must be in [0, 1)")
 
 
 def generate_blobs(spec: BlobSpec) -> tuple[Dataset, Labeling]:
@@ -166,22 +151,29 @@ def noise_count(n_points: int, level: float) -> int:
     return int(np.floor(level * n_points / (1.0 - level) + 0.5))
 
 
-def add_background_noise(data: Dataset, labels: Labeling, spec: NoiseSpec) -> Dataset:
-    """Append uniformly distributed points over the noise box.
+def add_background_noise(
+    data: Dataset, labels: Labeling, level: float, seed: int, pad: float
+) -> Dataset:
+    """Append uniform background noise at relative level ``level`` (the
+    noise share of the result), drawn from an rng seeded with ``seed`` over
+    the dataset's bounding box expanded by ``pad`` (a fraction of the span)
+    per side.
 
     Noise rows come last, with truth label -1; the other rows keep the
     dataset's truth labels, or ``labels`` where it has none.
     """
-    n = noise_count(data.n, spec.level)
+    if not 0.0 <= level < 1.0:
+        raise ValueError(f"noise level must be in [0, 1), got {level}")
+    n = noise_count(data.n, level)
     base_truth = data.truth_labels if data.truth_labels is not None else labels.assignments
     if n == 0:
         return Dataset(data.points, truth_labels=base_truth)
     lo = data.points.min(axis=0)
     hi = data.points.max(axis=0)
     span = hi - lo
-    lo = lo - spec.pad * span
-    hi = hi + spec.pad * span
-    rng = np.random.default_rng(spec.rng_seed)
+    lo = lo - pad * span
+    hi = hi + pad * span
+    rng = np.random.default_rng(seed)
     noise = rng.uniform(lo, hi, size=(n, data.dim))
     points = np.vstack([data.points, noise])
     truth = np.concatenate([base_truth, np.full(n, -1, dtype=np.int64)])

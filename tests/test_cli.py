@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,3 +397,112 @@ def test_study_reruns_byte_identical_across_threads(tmp_path):
         outs.append((runs_f.read_bytes(), summary_f.read_bytes()))
     # headers record the threads flag? they must not, to stay byte-identical
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "command, size",
+    [("score", "0"), ("score", "1"), ("score", "121"), ("sweep", "0"), ("sweep", "1")],
+)
+def test_sample_size_out_of_range_is_one_line_error(tmp_path, capsys, command, size):
+    data = tmp_path / "blobs.csv"
+    run(["gen", "blobs", "--k", "3", "--n", "40", "-o", str(data)])
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    assert run([command, "--data", str(data), "--sample", size, "-o", str(out)]) == 1
+    assert _one_error_line(capsys) == f"error: sample size must be in [2, 120] (the dataset size), got {size}"
+    assert not out.exists()
+
+
+def test_schema_is_recorded(tmp_path):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("1,0.0,5.0\n2,1.0,0.0\n1,0.2,4.0\n2,0.9,1.0\n1,0.1,6.0\n2,1.1,0.5\n")
+    configs, micros = [], []
+    for kinds in (["numeric", "numeric"], ["numeric", "ignore"]):
+        schema = tmp_path / f"schema_{len(configs)}.json"
+        schema.write_text(json.dumps({"columns": ["label", *kinds]}))
+        out = tmp_path / f"report_{len(configs)}.json"
+        assert run(["score", "--data", str(raw), "--schema", str(schema), "-o", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        configs.append(payload["config"])
+        micros.append(payload["report"]["micro"])
+        assert configs[-1]["schema"] == str(schema)
+    assert configs[0] != configs[1] and micros[0] != micros[1]
+
+
+@pytest.mark.parametrize("flag", ["--noise-pct", "--nucleus-extra"])
+def test_gen_negative_amount_is_one_line_error(tmp_path, capsys, flag):
+    out = tmp_path / "x.csv"
+    assert run(["gen", "blobs", "--k", "12", flag, "-5", "-o", str(out)]) == 1
+    assert _one_error_line(capsys).startswith(f"error: {flag} must be ")
+    assert not out.exists()
+
+
+# Every command on small inputs, with relative paths so the recorded configs
+# do not depend on the working directory. The digests are those of the
+# outputs written before the config recorder and row writer were shared;
+# only the three --schema outputs changed since, by their "schema" entry.
+GOLDEN_RUNS = [
+    ["gen", "blobs", "--k", "3", "--n", "40", "--seed", "1", "-o", "even.csv"],
+    ["gen", "blobs", "--k", "3", "--n", "40", "--noise-pct", "20", "--seed", "2", "-o", "noisy.csv"],
+    ["gen", "blobs", "--k", "12", "--n", "20", "--nucleus-extra", "200", "--seed", "3", "-o", "nucleus.csv"],
+    ["score", "--data", "even.csv", "-o", "score.json"],
+    ["score", "--data", "nucleus.csv", "--threads", "1", "-o", "score_t1.json"],
+    ["score", "--data", "nucleus.csv", "--sample", "60", "--seed", "4", "-o", "score_balanced.json"],
+    ["score", "--data", "nucleus.csv", "--sample", "60", "--strategy", "uniform", "--seed", "4",
+     "-o", "score_uniform.json"],
+    ["score", "--data", "raw.csv", "--schema", "schema.json", "--prepared-out", "prepared.csv",
+     "-o", "score_schema.json"],
+    ["cluster", "--data", "even.csv", "--k", "3", "--seed", "1", "-o", "cluster.json"],
+    ["cluster", "--data", "raw.csv", "--schema", "schema.json", "--k", "3", "-o", "cluster_schema.json"],
+    ["sweep", "--data", "even.csv", "--k-max", "5", "-o", "sweep.csv"],
+    ["sweep", "--data", "even.csv", "--k-max", "5", "--format", "json", "-o", "sweep.json"],
+    ["sweep", "--data", "nucleus.csv", "--k-max", "4", "--sample", "80", "-o", "sweep_sample.csv"],
+    ["sweep", "--data", "even.csv", "--k-max", "4", "--sample", "80", "--strategy", "uniform",
+     "-o", "sweep_uniform.csv"],
+    ["sweep", "--data", "raw.csv", "--schema", "schema.json", "--k-max", "4", "-o", "sweep_schema.csv"],
+    ["nucleus-study", "--sizes", "100,200", "--threads", "2", "-o", "nucleus_study.csv"],
+    ["noise-study", "--levels", "0,20", "--k-max", "5", "--threads", "2", "-o", "noise_study.csv"],
+    ["sample-study", "--sizes", "20,40", "--runs", "3", "--nucleus", "200", "--threads", "2",
+     "-o", "sample_runs.csv", "--summary", "sample_summary.csv"],
+]
+
+GOLDEN_DIGESTS = {
+    "cluster.json": "04b847ba37006699fb4af28c84d4355171990516a3601e0bebfda90206eb5287",
+    "cluster_schema.json": "3be07a8250715c98fb9eea104df5b9c4ecc8e3cd4add70bb6f77c11c66ae69fc",
+    "even.csv": "cd9945a341613f55cf6727368efad7de18b7a65a93811d4e0a59d3c70ef4aca6",
+    "noise_study.csv": "f922d1d7202ae4265ab8a386b167081514fc344b112dd18f9314619a98123a63",
+    "noisy.csv": "4e0b194642d0e4a295a8aa4d649466740919527a1c06f357fd036e0af22c14b5",
+    "nucleus.csv": "0d5ca4340743f486873e9d7f317161515c1ac9015c2a2b8616b837a234e4f9b1",
+    "nucleus_study.csv": "cc74745bb5fe064ae1de3d31fa47599ed12b7712505349d0bc0285190135b3ca",
+    "prepared.csv": "5a7047f89acb6dc0a8f6f3e981482cd2b93d4bd62be9f8dca78e525f9f812513",
+    "sample_runs.csv": "1d96340c4f67eacee1b811eb18ecf85d790a145e62c67bc423a820dc29782e42",
+    "sample_summary.csv": "727570f319dbc9d9b274d02b47b9496df36977299a373fd22a081584d1adc5b6",
+    "score.json": "372c43f21d97fc01166bb5c001b605f7be2ff225df92bf98745f63cc5e52aeee",
+    "score_balanced.json": "57a099bfd618207f3fa67607232459e3a48c554b7486362ee5497b793523e66c",
+    "score_schema.json": "d8175b178aa0ec4c2bb747a2e5a66a5f01d302c4fc69a58fd072c63aa38ed961",
+    "score_t1.json": "c1bc74a779c3592c2d2b30f88b1fe1faaed8274efb922a6c1d2d56a503449a05",
+    "score_uniform.json": "b294abce62b51f684f2724f4c033af6eeba5b76945a07de335958b8646163c2d",
+    "sweep.csv": "1f11338aeb39ee34a311e8de2b7dbdb761ef6ee55c817561627c8b10323dd258",
+    "sweep.json": "c82d461961f586f4e466e280c6528f92d6ba18885f9d144c6d46de45e2fe78c0",
+    "sweep_sample.csv": "971d7aa1eef34adeb26d7f816ef1125fa55781594cac4b5aebeeded300dbdb4f",
+    "sweep_schema.csv": "da23902109de83a8a0f3050f0df74d7041a85680cf1b8723adad6564e406f913",
+    "sweep_uniform.csv": "71a6c65c812d0242880bdb8cd96458544e992aed9e442dfbb57bf4b283f42ec1",
+}
+
+
+def test_outputs_match_parent_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("SIL_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(11)
+    lines = []
+    for i in range(60):
+        feats = rng.normal(loc=(i % 3) * 8.0, scale=0.8, size=3)
+        lines.append(",".join([str(i % 3 + 1)] + [f"{v:.4f}" for v in feats]))
+    Path("raw.csv").write_text("\n".join(lines) + "\n")
+    Path("schema.json").write_text(json.dumps({"columns": ["label"] + ["numeric"] * 3}))
+    for argv in GOLDEN_RUNS:
+        assert run(argv) == 0, argv
+    digests = {
+        name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS
+    }
+    assert digests == GOLDEN_DIGESTS

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from silkit.core import Dataset, Labeling
 from silkit.sampling import (
-    SampleSpec,
     balanced_allocation,
     monte_carlo_study,
     sample_and_score,
@@ -21,7 +20,7 @@ def blob_instance(k=4, n=40, seed=0):
 
 def test_uniform_full_size_equals_full_report():
     data, labels = blob_instance()
-    result = sample_and_score(data, labels, SampleSpec("uniform", data.n, 1))
+    result = sample_and_score(data, labels, "uniform", data.n, 1)
     full = full_report(data, labels)
     assert result.defined
     assert result.report.micro == full.micro
@@ -31,8 +30,8 @@ def test_uniform_full_size_equals_full_report():
 
 def test_uniform_deterministic():
     data, labels = blob_instance()
-    a = sample_and_score(data, labels, SampleSpec("uniform", 20, 9))
-    b = sample_and_score(data, labels, SampleSpec("uniform", 20, 9))
+    a = sample_and_score(data, labels, "uniform", 20, 9)
+    b = sample_and_score(data, labels, "uniform", 20, 9)
     assert np.array_equal(a.indices, b.indices)
     assert a.report.micro == b.report.micro
 
@@ -45,7 +44,7 @@ def test_uniform_can_go_undefined_on_imbalance():
     undefined_seeds = [
         s
         for s in range(40)
-        if not sample_and_score(data, labels, SampleSpec("uniform", 5, s)).defined
+        if not sample_and_score(data, labels, "uniform", 5, s).defined
     ]
     assert undefined_seeds, "expected at least one all-one-cluster sample"
 
@@ -53,12 +52,12 @@ def test_uniform_can_go_undefined_on_imbalance():
 def test_uniform_rejects_oversize():
     data, labels = blob_instance()
     with pytest.raises(ValueError):
-        sample_and_score(data, labels, SampleSpec("uniform", data.n + 1, 0))
+        sample_and_score(data, labels, "uniform", data.n + 1, 0)
 
 
 def test_balanced_exact_division():
     data, labels = blob_instance(k=4, n=40)
-    result = sample_and_score(data, labels, SampleSpec("balanced", 40, 2))
+    result = sample_and_score(data, labels, "balanced", 40, 2)
     assert result.drawn_counts.tolist() == [10, 10, 10, 10]
 
 
@@ -76,7 +75,7 @@ def test_balanced_allocation_exhausts_all_points():
 
 def test_balanced_covers_every_cluster():
     data, labels = blob_instance(k=5, n=30)
-    result = sample_and_score(data, labels, SampleSpec("balanced", 7, 3))
+    result = sample_and_score(data, labels, "balanced", 7, 3)
     assert (result.drawn_counts >= 1).all()
 
 
@@ -129,8 +128,8 @@ def test_balanced_allocation_one_huge_cluster():
 
 def test_balanced_deterministic():
     data, labels = blob_instance()
-    a = sample_and_score(data, labels, SampleSpec("balanced", 30, 5))
-    b = sample_and_score(data, labels, SampleSpec("balanced", 30, 5))
+    a = sample_and_score(data, labels, "balanced", 30, 5)
+    b = sample_and_score(data, labels, "balanced", 30, 5)
     assert np.array_equal(a.indices, b.indices)
 
 
@@ -139,7 +138,7 @@ def test_sample_drops_absent_clusters():
     data = Dataset(pts)
     labels = Labeling(np.repeat([0, 1, 2], [6, 6, 2]), k=3)
     # force a sample from the first two clusters only
-    result = sample_and_score(data, labels, SampleSpec("uniform", 12, 17))
+    result = sample_and_score(data, labels, "uniform", 12, 17)
     if 2 not in labels.assignments[result.indices]:
         assert len(result.surviving_clusters) == 2
         assert result.defined
@@ -151,7 +150,7 @@ def test_micro_weighted_matches_full_when_sample_is_everything():
     rng = np.random.default_rng(11)
     shuffled = Labeling(np.repeat([2, 0, 1], [3, 10, 5]), k=3)
     for data, labels in [(data, labels), (Dataset(rng.normal(size=(18, 2))), shuffled)]:
-        result = sample_and_score(data, labels, SampleSpec("balanced", data.n, 1))
+        result = sample_and_score(data, labels, "balanced", data.n, 1)
         full = full_report(data, labels)
         assert result.micro_weighted == pytest.approx(full.micro, abs=1e-12)
 
@@ -200,7 +199,9 @@ def test_monte_carlo_thread_invariance():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        SampleSpec("stratified", 10)
-    with pytest.raises(ValueError):
-        SampleSpec("uniform", 1)
+    data, labels = blob_instance(k=2, n=10)
+    with pytest.raises(ValueError, match="strategy must be one of"):
+        sample_and_score(data, labels, "stratified", 10, 0)
+    for size in (0, 1, data.n + 1):
+        with pytest.raises(ValueError, match="sample size must be in"):
+            sample_and_score(data, labels, "uniform", size, 0)

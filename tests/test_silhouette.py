@@ -162,7 +162,7 @@ def test_full_report_block_heights_bit_identical(monkeypatch):
         # one row per block, ragged blocks of 7, a lone last row, one block
         runs = []
         for height in (1, 7, data.n - 1, data.n):
-            monkeypatch.setattr(silhouette, "block_rows_for", lambda n, dim, h=height: h)
+            monkeypatch.setattr(silhouette, "BLOCK_ROWS", height)
             runs.append(full_report(data, labels))
         for report in runs[1:]:
             assert np.array_equal(report.per_point, runs[0].per_point)
@@ -180,7 +180,7 @@ def test_full_report_threads_bit_identical(monkeypatch):
     for _ in range(3):
         data, labels = _random_instance(rng, n_max=120)
         for height in (2, 7, data.n - 1):
-            monkeypatch.setattr(silhouette, "block_rows_for", lambda n, dim, h=height: h)
+            monkeypatch.setattr(silhouette, "BLOCK_ROWS", height)
             runs = [full_report(data, labels, threads) for threads in (1, 2, 3)]
             for report in runs[1:]:
                 assert report.per_point.tobytes() == runs[0].per_point.tobytes()
@@ -191,7 +191,7 @@ def test_full_report_threads_bit_identical(monkeypatch):
     data, labels = _random_instance(rng, n_max=120)
     data = Dataset(np.tile(data.points, (20, 1)) + rng.normal(scale=1e-3, size=(20 * data.n, data.dim)))
     labels = canonicalize_labels(np.tile(labels.assignments, 20))
-    monkeypatch.setattr(silhouette, "block_rows_for", lambda n, dim: 64)
+    monkeypatch.setattr(silhouette, "BLOCK_ROWS", 64)
     serial = full_report(data, labels).per_point
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -226,7 +226,7 @@ def test_full_report_bit_identical_to_broadcast_formula(seed, d, height_frac):
     # below 8 coordinates the kernel adds them in numpy's own order, and a
     # slab sum runs in member order like a gathered one
     data, labels, height = _kernel_instance(seed, d, height_frac)
-    with mock.patch.object(silhouette, "block_rows_for", lambda n, dim: height):
+    with mock.patch.object(silhouette, "BLOCK_ROWS", height):
         report = full_report(data, labels)
     own, counts = labels.assignments, labels.cluster_sizes()
     sums = gathered_cluster_sums(data.points, own, labels.k)
@@ -250,7 +250,7 @@ def test_full_report_tiles_bit_identical(seed, n, d, height, width, threads):
     # one thread scores max(2, rows)-row blocks, so the tile is 1..n columns
     tile_elems = (1 + int(width * (n - 1))) * max(2, rows)
     with (
-        mock.patch.object(silhouette, "block_rows_for", lambda n, dim: rows),
+        mock.patch.object(silhouette, "BLOCK_ROWS", rows),
         mock.patch.object(silhouette, "TILE_ELEMS", tile_elems),
     ):
         report = full_report(data, labels, threads)
@@ -280,7 +280,7 @@ def test_full_report_restores_ufunc_buffer_size(threads):
 @given(seed=st.integers(0, 2**16), d=st.integers(8, 30), height_frac=st.floats(0.0, 1.0))
 def test_full_report_matches_oracle_high_dim(seed, d, height_frac):
     data, labels, height = _kernel_instance(seed, d, height_frac)
-    with mock.patch.object(silhouette, "block_rows_for", lambda n, dim: height):
+    with mock.patch.object(silhouette, "BLOCK_ROWS", height):
         report = full_report(data, labels)
     s, _, micro, macro = naive_silhouette(data.points, labels.assignments)
     assert np.allclose(report.per_point, s, rtol=0, atol=1e-12)

@@ -5,7 +5,6 @@ from silkit.core import Labeling
 from silkit.synth import (
     NUCLEUS_CLUSTER,
     BlobSpec,
-    NoiseSpec,
     add_background_noise,
     generate_blobs,
     grow_nucleus,
@@ -111,14 +110,14 @@ def test_noise_count_values():
 
 def test_noise_zero_identity():
     data, labels = generate_blobs(separated_blobs_spec(4, 25, rng_seed=8))
-    noisy = add_background_noise(data, labels, NoiseSpec(level=0.0, rng_seed=1))
+    noisy = add_background_noise(data, labels, 0.0, 1, 0.10)
     assert noisy.n == data.n
     assert not (noisy.truth_labels == -1).any()
 
 
 def test_noise_marks_rows_and_labels():
     data, labels = generate_blobs(separated_blobs_spec(4, 50, rng_seed=9))
-    noisy = add_background_noise(data, labels, NoiseSpec(level=0.25, rng_seed=2))
+    noisy = add_background_noise(data, labels, 0.25, 2, 0.10)
     n = noise_count(200, 0.25)
     assert noisy.n == 200 + n
     assert (noisy.truth_labels[-n:] == -1).all()
@@ -129,7 +128,7 @@ def test_noise_marks_rows_and_labels():
 def test_noise_fraction_close_to_level():
     data, labels = generate_blobs(separated_blobs_spec(4, 200, rng_seed=10))
     for level in (0.1, 0.25, 0.4):
-        noisy = add_background_noise(data, labels, NoiseSpec(level=level, rng_seed=3))
+        noisy = add_background_noise(data, labels, level, 3, 0.10)
         total = noisy.n
         achieved = (noisy.truth_labels == -1).sum() / total
         assert abs(achieved - level) <= 1.0 / total
@@ -137,7 +136,7 @@ def test_noise_fraction_close_to_level():
 
 def test_noise_default_box_pads_bounding_box():
     data, labels = generate_blobs(separated_blobs_spec(2, 50, rng_seed=12))
-    noisy = add_background_noise(data, labels, NoiseSpec(level=0.5, rng_seed=5, pad=0.10))
+    noisy = add_background_noise(data, labels, 0.5, 5, 0.10)
     lo, hi = data.points.min(0), data.points.max(0)
     span = hi - lo
     pts = noisy.points[noisy.truth_labels == -1]
@@ -146,10 +145,10 @@ def test_noise_default_box_pads_bounding_box():
 
 
 def test_noise_level_validation():
-    with pytest.raises(ValueError):
-        NoiseSpec(level=1.0)
-    with pytest.raises(ValueError):
-        NoiseSpec(level=-0.1)
+    data, labels = generate_blobs(separated_blobs_spec(2, 10, rng_seed=1))
+    for level in (1.0, -0.1):
+        with pytest.raises(ValueError, match="noise level must be in"):
+            add_background_noise(data, labels, level, 0, 0.10)
 
 
 def test_blob_spec_validation():

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Labeling, _sq_distances
+from .core import Dataset, Labeling, _sq_distances, _unbuffered
 
 __all__ = [
     "KMeansConfig",
@@ -206,7 +206,8 @@ def global_kmeanspp(data: Dataset, k_max: int, config: KMeansConfig) -> dict[int
 
     for k in range(2, k_max + 1):
         base = results[k - 1].centers
-        d2 = _sq_distances(np.ascontiguousarray(base.T), points)
+        with _unbuffered():  # rows N long, below numpy's unbuffered threshold
+            d2 = _sq_distances(np.ascontiguousarray(base.T), points)
         base_labels = d2.argmin(axis=0)
         nearest = d2.min(axis=0)
         d2[base_labels, np.arange(data.n)] = np.inf
@@ -218,7 +219,8 @@ def global_kmeanspp(data: Dataset, k_max: int, config: KMeansConfig) -> dict[int
             candidates = rng.choice(data.n, size=size, replace=False, p=nearest / total)
         else:
             candidates = rng.choice(data.n, size=min(config.n_candidates, data.n), replace=False)
-        dnew = _sq_distances(np.ascontiguousarray(points[candidates].T), points)
+        with _unbuffered():
+            dnew = _sq_distances(np.ascontiguousarray(points[candidates].T), points)
         best: KMeansResult | None = None
         for idx, to_new in zip(candidates, dnew):
             trial = np.vstack([base, points[int(idx)]])

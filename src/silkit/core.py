@@ -8,7 +8,9 @@ distance the same bits whatever block of rows it is computed in.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,25 +90,44 @@ class Labeling:
         return np.flatnonzero(self.assignments == c)
 
 
+@contextmanager
+def _unbuffered():
+    """Run the block with numpy's ufunc buffer at 256 elements (per thread),
+    restored on exit. numpy feeds a broadcast operation whose rows are
+    shorter than ~4096 elements through its 8192-element buffer, several
+    times slower than running it unbuffered. Elementwise results keep their
+    bits; a reduction that casts its input sums pairwise within each
+    buffer, so its bits would depend on the buffer size."""
+    old = np.setbufsize(256)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _sq_distances(cols_t: np.ndarray, rows: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """m x r squared Euclidean distances from m column points, given as their
     d x m transpose (each row contiguous), to the r x d row points: one
     coordinate at a time into an m x r buffer (subtract, square in place,
     add), with no gram shortcut, so nearby points keep their precision.
     Coordinates add in order from 0, as numpy sums a last axis shorter than
-    8, so for d < 8 these are the bits of ``(diff * diff).sum(-1)``. A
+    8, so for d < 8 these are the bits of ``(diff * diff).sum(-1)``. With a
+    run axis, d x m x g columns and g x r x d rows give the m x g x r
+    distances of g runs at once, run j's columns against run j's rows. A
     caller that streams many blocks can pass a flat float64 ``work`` array of
-    at least 2 m r elements to hold the two buffers, so it allocates (and
-    page-faults) them once; the result is then a view of ``work``."""
-    m, r = cols_t.shape[1], len(rows)
+    at least twice the result's size to hold the two buffers, so it
+    allocates (and page-faults) them once; the result is then a view of
+    ``work``."""
+    shape = (*cols_t.shape[1:], rows.shape[-2])
     if work is None:
-        out, buf = np.empty((m, r)), np.empty((m, r))
+        out, buf = np.empty(shape), np.empty(shape)
     else:
-        out, buf = work[: m * r].reshape(m, r), work[m * r : 2 * m * r].reshape(m, r)
-    np.subtract.outer(cols_t[0], rows[:, 0], out=out)
+        size = math.prod(shape)
+        out, buf = work[:size].reshape(shape), work[size : 2 * size].reshape(shape)
+    np.subtract(cols_t[0][..., None], rows[..., 0], out=out)
     np.multiply(out, out, out=out)
     for j in range(1, len(cols_t)):
-        np.subtract.outer(cols_t[j], rows[:, j], out=buf)
+        np.subtract(cols_t[j][..., None], rows[..., j], out=buf)
         out += np.multiply(buf, buf, out=buf)
     return out
 

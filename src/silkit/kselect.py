@@ -54,20 +54,26 @@ def sweep(
 ) -> SweepResult:
     """Cluster for every k in [k_min, k_max] and score each solution.
 
-    With ``sample_size`` set (and smaller than N), each solution is scored
-    on a subsample: macro is the subsample's macro and micro re-weights the
-    cluster means by full cluster sizes. Each k draws its own subsample
-    with seed ``config.rng_seed + k``.
+    With ``sample_size`` set, each solution is scored on a subsample:
+    macro is the subsample's macro and micro re-weights the cluster means by
+    full cluster sizes. Each k draws its own subsample with seed
+    ``config.rng_seed + k``. A sample of N or more points is an error,
+    not a silent full scoring.
     """
     if not 2 <= k_min <= k_max <= data.n - 1:
         raise ValueError(f"need 2 <= k_min <= k_max <= N-1, got [{k_min}, {k_max}] with N={data.n}")
+    if sample_size is not None and sample_size >= data.n:
+        raise ValueError(
+            f"sample size must be below the dataset size {data.n} (omit it to score in full), "
+            f"got {sample_size}"
+        )
     solutions = global_kmeanspp(data, k_max, config)
 
     rows = []
     for k in range(k_min, k_max + 1):
         result = solutions[k]
         labeling = result.labeling
-        if sample_size is not None and sample_size < data.n:
+        if sample_size is not None:
             scored = sample_and_score(
                 data, labeling, sample_strategy, sample_size, config.rng_seed + k
             )

@@ -11,6 +11,14 @@ A sampled silhouette report drops clusters that are absent from the sample.
 When fewer than two clusters survive, the result is marked undefined rather
 than raising: on heavily imbalanced data a small uniform sample regularly
 lands inside a single cluster, and the study commands record that outcome.
+
+``monte_carlo_study`` scores the runs of one sample size L in groups of
+g = ``BLOCK_ROWS // L`` (at least 1), so a group's g x L rows fit in one
+kernel block. The group's runs share column slabs, each as wide as the
+largest count of its cluster among them; a run with fewer members of a
+cluster gets pad columns that add an exact 0.0 to its sums, so every run's
+score has the bits ``sample_and_score`` gives it. Balanced runs of a size
+all have the same counts and need no pads.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, Labeling, _canonicalize_with_ids, _parallel_map
-from .silhouette import SilhouetteReport, full_report
+from .silhouette import BLOCK_ROWS, SilhouetteReport, _score_runs, full_report
 
 __all__ = [
     "SampleResult",
@@ -75,6 +83,37 @@ def balanced_allocation(cluster_sizes: np.ndarray, budget: int) -> np.ndarray:
     return alloc
 
 
+def _check_sample(data: Dataset, labels: Labeling, strategy: str, size: int) -> None:
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    if not 2 <= size <= data.n:
+        raise ValueError(f"sample size must be in [2, {data.n}] (the dataset size), got {size}")
+    if strategy == "balanced" and labels.k < 2:
+        raise ValueError("balanced sampling requires at least two clusters")
+
+
+def _quotas(members: list[np.ndarray], sizes: np.ndarray, size: int) -> list[tuple[np.ndarray, int]]:
+    """Each cluster's members and its ``balanced_allocation`` draw count."""
+    return list(zip(members, balanced_allocation(sizes, size).tolist()))
+
+
+def _members(labels: Labeling) -> list[np.ndarray]:
+    return [labels.members(c) for c in range(labels.k)]
+
+
+def _draw(n: int, size: int, seed: int, quotas: list[tuple[np.ndarray, int]] | None) -> np.ndarray:
+    """Sorted row indices of one sample, from an rng seeded with ``seed``:
+    without ``quotas`` (uniform), ``size`` draws without replacement over
+    all n rows; with them (balanced), each cluster's count from its
+    members, in cluster order from the same rng."""
+    rng = np.random.default_rng(seed)
+    if quotas is None:
+        indices = rng.choice(n, size=size, replace=False)
+    else:
+        indices = np.concatenate([rng.choice(rows, size=q, replace=False) for rows, q in quotas])
+    return np.sort(indices)
+
+
 def sample_and_score(
     data: Dataset, labels: Labeling, strategy: str, size: int, seed: int
 ) -> SampleResult:
@@ -82,21 +121,10 @@ def sample_and_score(
     ``seed``, and score the subsample: uniform draws without replacement
     over all rows; balanced draws each cluster's ``balanced_allocation``
     count from its members, in cluster order from the same rng."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if not 2 <= size <= data.n:
-        raise ValueError(f"sample size must be in [2, {data.n}] (the dataset size), got {size}")
-    rng = np.random.default_rng(seed)
-    if strategy == "uniform":
-        indices = rng.choice(data.n, size=size, replace=False)
-    else:
-        if labels.k < 2:
-            raise ValueError("balanced sampling requires at least two clusters")
-        alloc = balanced_allocation(labels.cluster_sizes(), size)
-        indices = np.concatenate(
-            [rng.choice(labels.members(c), size=int(alloc[c]), replace=False) for c in range(labels.k)]
-        )
-    indices = np.sort(indices)
+    _check_sample(data, labels, strategy, size)
+    sizes = labels.cluster_sizes()
+    quotas = _quotas(_members(labels), sizes, size) if strategy == "balanced" else None
+    indices = _draw(data.n, size, seed, quotas)
     sub_raw = labels.assignments[indices]
     drawn = np.bincount(sub_raw, minlength=labels.k)
     surviving = np.flatnonzero(drawn > 0)
@@ -104,9 +132,11 @@ def sample_and_score(
         return SampleResult(indices, drawn, surviving, None, None)
     sub_labels, ids = _canonicalize_with_ids(sub_raw)
     report = full_report(Dataset(data.points[indices]), sub_labels)
-    full_sizes = labels.cluster_sizes()[ids]
-    micro_weighted = float((report.per_cluster * full_sizes).sum() / full_sizes.sum())
-    return SampleResult(indices, drawn, surviving, report, micro_weighted)
+    return SampleResult(indices, drawn, surviving, report, _micro_weighted(report.per_cluster, sizes[ids]))
+
+
+def _micro_weighted(per_cluster: np.ndarray, full_sizes: np.ndarray) -> float:
+    return float((per_cluster * full_sizes).sum() / full_sizes.sum())
 
 
 def tukey_whiskers(values: np.ndarray) -> tuple[float, float]:
@@ -135,17 +165,6 @@ class MonteCarloCell:
         return self.whisker_high - self.whisker_low
 
 
-def _study_score(result: SampleResult, statistic: str) -> float:
-    if not result.defined:
-        return float("nan")
-    if statistic == "macro":
-        return result.report.macro
-    if statistic == "micro":
-        # cluster means re-weighted by full sizes: valid under either strategy
-        return result.micro_weighted
-    raise ValueError(f"unknown statistic: {statistic}")
-
-
 def monte_carlo_study(
     data: Dataset,
     labels: Labeling,
@@ -164,18 +183,44 @@ def monte_carlo_study(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    tasks = [
-        (size, strategy, run)
-        for size in sizes
-        for strategy in STRATEGIES
-        for run in range(runs)
-    ]
+    if statistic not in ("macro", "micro"):
+        raise ValueError(f"unknown statistic: {statistic}")
+    own, k = labels.assignments, labels.k
+    full_sizes, members = labels.cluster_sizes(), _members(labels)
+    # each task draws and scores up to g runs of one cell, g x size rows
+    # within one block
+    tasks = []
+    for size in sizes:
+        for strategy in STRATEGIES:
+            _check_sample(data, labels, strategy, size)
+            group = max(1, BLOCK_ROWS // size)
+            quotas = _quotas(members, full_sizes, size) if strategy == "balanced" else None
+            tasks += [(size, quotas, range(r, min(r + group, runs))) for r in range(0, runs, group)]
 
-    def one(task):
-        size, strategy, run = task
-        return _study_score(sample_and_score(data, labels, strategy, size, seed_base + run), statistic)
+    def score_group(task) -> list[float]:
+        size, quotas, group = task
+        draws = [_draw(data.n, size, seed_base + run, quotas) for run in group]
+        scores = [float("nan")] * len(draws)
+        # a run needs two surviving clusters to be defined
+        defined = [j for j, rows in enumerate(draws) if (own[rows] != own[rows[0]]).any()]
+        if not defined:
+            return scores
+        rows = np.stack([draws[j] for j in defined])
+        sub_raws = own[rows]
+        per_point, counts = _score_runs(data.points[rows], sub_raws, k)
+        for j, sub_raw, run_scores, run_counts in zip(defined, sub_raws, per_point, counts):
+            # the run's clusters in first-occurrence order, as sample_and_score's report has them
+            _, first = np.unique(sub_raw, return_index=True)
+            ids = sub_raw[np.sort(first)]
+            per_cluster = np.bincount(sub_raw, weights=run_scores, minlength=k)[ids] / run_counts[ids]
+            if statistic == "macro":
+                scores[j] = float(per_cluster.mean())
+            else:
+                # cluster means re-weighted by full sizes: valid under either strategy
+                scores[j] = _micro_weighted(per_cluster, full_sizes[ids])
+        return scores
 
-    flat = _parallel_map(one, tasks, threads)
+    flat = [score for scores in _parallel_map(score_group, tasks, threads) for score in scores]
 
     cells = []
     pos = 0

@@ -10,6 +10,12 @@ Conventions (degenerate cases):
   * a = b = 0 (all relevant points coincide) scores 0;
   * fewer than two clusters: the score does not exist and
     SilhouetteUndefinedError is raised.
+
+One kernel scores every labeling: ``_score_runs`` takes g runs of n points
+(with their own labels) and scores them at once. ``full_report`` is its
+one-run case; the sampling study passes groups of equally sized samples,
+whose columns are padded to common slab widths with pads that add an exact
+0.0, and whose absent clusters have an infinite mean distance.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Labeling, _parallel_map, _sq_distances
+from .core import Dataset, Labeling, _parallel_map, _sq_distances, _unbuffered
 
 __all__ = ["SilhouetteUndefinedError", "SilhouetteReport", "full_report"]
 
@@ -57,11 +63,12 @@ class SilhouetteReport:
 
 def _scores_from_sums(sums: np.ndarray, own: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per-point scores for one block of rows from their per-cluster
-    distance sums (rows x k): forms a, b and the ratio."""
+    distance sums (rows x k): forms a, b and the ratio. A cluster with no
+    members (count 0, absent from a sample) has an infinite mean."""
     r = np.arange(len(own))
     singleton = counts[own] < 2
     a = np.where(singleton, 0.0, sums[r, own] / np.maximum(counts[own] - 1, 1))
-    means = sums / counts[None, :]
+    means = np.divide(sums, counts, out=np.full_like(sums, np.inf), where=counts > 0)
     means[r, own] = np.inf
     b = means.min(axis=1)
     denom = np.maximum(a, b)
@@ -72,71 +79,126 @@ def _scores_from_sums(sums: np.ndarray, own: np.ndarray, counts: np.ndarray) -> 
     return s
 
 
-def full_report(data: Dataset, labels: Labeling, threads: int | None = None) -> SilhouetteReport:
-    """Complete silhouette report for a labeled dataset.
+def _columns(runs: np.ndarray, own: np.ndarray, counts: np.ndarray):
+    """The kernel's columns for g runs: each run's points sorted stably by
+    cluster into slabs, slab c as wide as the largest count of c, as a
+    d x m x g array; the m + 1 slab bounds; and the pad columns, as
+    ascending column numbers and their runs (None when there are none)."""
+    g, n = own.shape
+    bounds = [0, *np.cumsum(counts.max(axis=0)).tolist()]
+    m = bounds[-1]
+    order = np.argsort(own, axis=1, kind="stable")
+    pads = None
+    if m > n:
+        # run j's p-th member of cluster c goes to column bounds[c] + p; the
+        # other columns are pads, which repeat the run's first point, so
+        # their distances stay finite
+        sorted_own = np.take_along_axis(own, order, axis=1)
+        firsts = np.cumsum(counts, axis=1) - counts
+        slots = np.asarray(bounds[:-1])[sorted_own] - np.take_along_axis(firsts, sorted_own, axis=1)
+        slots += np.arange(n)
+        index = np.zeros((g, m), dtype=np.int64)
+        np.put_along_axis(index, slots, order, axis=1)
+        is_pad = np.ones((g, m), dtype=bool)
+        np.put_along_axis(is_pad, slots, False, axis=1)
+        order, pads = index, np.nonzero(is_pad.T)
+    cols = runs[np.arange(g)[:, None], order]
+    return np.ascontiguousarray(cols.transpose(2, 1, 0)), bounds, pads
 
-    Streams tall blocks of up to ``BLOCK_ROWS`` rows against the columns
-    sorted by cluster, so a row's distances to a cluster are one slab. A
-    block walks the columns in tiles of ``TILE_ELEMS // rows`` columns, so
-    the kernel's two buffers stay near 1 MB each, ~2 MB a thread. A slab
+
+def _score_runs(
+    runs: np.ndarray, own: np.ndarray, k: int, threads: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point scores of g runs of n points each, scored together: the
+    one kernel behind ``full_report`` (one run of every point) and the
+    Monte Carlo study (runs of one sample size).
+
+    ``runs`` (g x n x d) holds each run's points and ``own`` (g x n) their
+    cluster ids in 0..k-1; a run may miss clusters. Returns the g x n
+    scores and the g x k cluster counts of the runs.
+
+    Each run's points are sorted stably by cluster into columns, so a row's
+    distances to a cluster are one slab. Slab c is as wide as the largest
+    count of c among the runs; a run with fewer members of c fills the rest
+    with pad columns, whose distances are set to an exact 0.0, so the slab
+    sum stays the run's own member-order chain (x + 0.0 == x). Blocks take
+    up to ``BLOCK_ROWS // g`` rows of every run at once (callers keep
+    g x n within ``BLOCK_ROWS``, so a block holds a run's whole row length
+    when g > 1), against the columns in tiles of ``TILE_ELEMS`` distances,
+    so the kernel's two buffers stay near 1 MB each, ~2 MB a thread. A slab
     that spans tiles is folded: before each of its segments is summed, its
     running sum is copied into the tile row just above the segment (a spare
-    row, or the previous slab's last row, already summed), so every slab sum
-    is one chain in member order whatever the block height or tile width.
-    numpy feeds a broadcast subtraction with rows shorter than ~4096 through
-    its 8192-element ufunc buffer, several times slower than running it
-    unbuffered, so each block sets the buffer to 256 elements
-    (``np.setbufsize``, per thread) and restores it when done. With
-    ``threads`` > 1 the blocks, at most n / threads rows tall, are scored on
-    that many threads. Each block writes only its own rows, so the result
-    does not depend on the thread count either; None or 1 scores serially.
+    row, or the previous slab's last row, already summed), so every slab
+    sum is one chain in member order whatever the block height, tile width
+    or run grouping. numpy feeds a broadcast subtraction with rows shorter
+    than ~4096 through its 8192-element ufunc buffer, several times slower
+    than running it unbuffered, so each block runs with the buffer set to
+    256 elements (``_unbuffered``). With ``threads`` > 1 the blocks, at
+    most n / threads rows tall, are scored on that many threads. Each block
+    writes only its own rows, so the result does not depend on the thread
+    count either; None or 1 scores serially.
     """
-    if labels.n != data.n:
-        raise ValueError("labeling length does not match dataset")
-    if labels.k < 2:
-        raise SilhouetteUndefinedError("silhouette requires at least two clusters")
-    own = labels.assignments
-    counts = labels.cluster_sizes()
-    n, k = data.n, labels.k
-    points = data.points
-    cols_t = np.ascontiguousarray(points[np.argsort(own, kind="stable")].T)
-    bounds = [0, *np.cumsum(counts).tolist()]
+    g, n = own.shape
+    counts = np.bincount((own + k * np.arange(g)[:, None]).ravel(), minlength=g * k).reshape(g, k)
+    cols_t, bounds, pads = _columns(runs, own, counts)
+    m = bounds[-1]
 
-    per_point = np.empty(n, dtype=np.float64)
+    per_point = np.empty((g, n), dtype=np.float64)
     workers = max(threads or 1, 1)
     # numpy sums a one-column slab pairwise but a wider one in member order,
     # so no block is left with a single row (n >= 2 once k >= 2)
-    step = max(2, min(n, BLOCK_ROWS, -(-n // workers)))
+    step = max(2, min(n, BLOCK_ROWS // g, -(-n // workers)))
     starts = list(range(0, n, step))
     if n - starts[-1] == 1:
         starts.pop()
-    width = max(1, min(n, TILE_ELEMS // step))
+    # not capped at m: kernel buffers of one size (about 2 * TILE_ELEMS) let
+    # many small calls in a row reuse each other's freed memory; a small
+    # call touches only the pages its tile uses
+    width = max(1, TILE_ELEMS // (g * step))
     # each thread allocates its kernel buffers once, for the tallest block
     local = threading.local()
 
     def score_block(block: tuple[int, int]) -> None:
         lo, hi = block
-        r = hi - lo
+        r = g * (hi - lo)
         if not hasattr(local, "work"):
-            local.work = np.empty((2 * width + 1) * (step + 1))
+            local.work = np.empty((2 * width + 1) * g * (step + 1))
         sums = np.zeros((k, r))
-        old_bufsize = np.setbufsize(256)
-        try:
-            for t0 in range(0, n, width):
-                t1 = min(t0 + width, n)
+        with _unbuffered():
+            for t0 in range(0, m, width):
+                t1 = min(t0 + width, m)
                 # row 0 is spare, the tile's distances are rows 1..t1-t0
                 tile = local.work[: (t1 - t0 + 1) * r].reshape(-1, r)
-                dist = _sq_distances(cols_t[:, t0:t1], points[lo:hi], local.work[r:])
+                dist = _sq_distances(cols_t[:, t0:t1], runs[:, lo:hi], local.work[r:])
                 np.sqrt(dist, out=dist)
+                if pads is not None:
+                    p0, p1 = np.searchsorted(pads[0], (t0, t1))
+                    dist[pads[0][p0:p1] - t0, pads[1][p0:p1]] = 0.0
                 for c in range(bisect_right(bounds, t0) - 1, bisect_left(bounds, t1)):
                     s, e = max(bounds[c], t0) - t0, min(bounds[c + 1], t1) - t0
                     tile[s] = sums[c]
                     np.add.reduce(tile[s : e + 1], axis=0, out=sums[c])
-        finally:
-            np.setbufsize(old_bufsize)
-        per_point[lo:hi] = _scores_from_sums(sums.T, own[lo:hi], counts)
+        sums = sums.reshape(k, g, -1)
+        for j in range(g):
+            per_point[j, lo:hi] = _scores_from_sums(sums[:, j].T, own[j, lo:hi], counts[j])
 
     _parallel_map(score_block, zip(starts, starts[1:] + [n]), threads)
+    return per_point, counts
+
+
+def full_report(data: Dataset, labels: Labeling, threads: int | None = None) -> SilhouetteReport:
+    """Complete silhouette report for a labeled dataset: ``_score_runs``
+    with one run of every point, which needs no pad columns. With
+    ``threads`` > 1 its blocks are scored on that many threads; the scores
+    are the same bits at any block height, tile width and thread count.
+    """
+    if labels.n != data.n:
+        raise ValueError("labeling length does not match dataset")
+    if labels.k < 2:
+        raise SilhouetteUndefinedError("silhouette requires at least two clusters")
+    own, k = labels.assignments, labels.k
+    per_point, counts = _score_runs(data.points[None], own[None], k, threads)
+    per_point, counts = per_point[0], counts[0]
 
     sums = np.bincount(own, weights=per_point, minlength=k)
     per_cluster = sums / counts

@@ -413,6 +413,20 @@ def test_sample_size_out_of_range_is_one_line_error(tmp_path, capsys, command, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize("size", ["120", "121"])
+def test_sweep_sample_of_row_count_is_one_line_error(tmp_path, capsys, size):
+    # a sweep sample of every row is not a silent full scoring
+    data = tmp_path / "blobs.csv"
+    run(["gen", "blobs", "--k", "3", "--n", "40", "-o", str(data)])
+    capsys.readouterr()
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--data", str(data), "--k-max", "4", "--sample", size, "-o", str(out)]) == 1
+    assert _one_error_line(capsys) == (
+        f"error: sample size must be below the dataset size 120 (omit it to score in full), got {size}"
+    )
+    assert not out.exists()
+
+
 def test_schema_is_recorded(tmp_path):
     raw = tmp_path / "raw.csv"
     raw.write_text("1,0.0,5.0\n2,1.0,0.0\n1,0.2,4.0\n2,0.9,1.0\n1,0.1,6.0\n2,1.1,0.5\n")

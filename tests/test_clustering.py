@@ -12,7 +12,7 @@ from silkit.clustering import (
     global_kmeanspp,
     lloyd,
 )
-from silkit.core import Dataset
+from silkit.core import Dataset, _sq_distances
 from silkit.synth import generate_blobs, separated_blobs_spec
 
 from naive import broadcast_sq_distances, reference_global_kmeanspp, reference_lloyd
@@ -213,6 +213,39 @@ def test_global_calls_lloyd_by_name_per_candidate(monkeypatch):
     data = Dataset(rng.normal(size=(60, 2)))
     global_kmeanspp(data, 6, KMeansConfig(n_candidates=4, rng_seed=0))
     assert len(calls) == 4 * (6 - 1)
+
+
+def test_global_kernel_calls_unbuffered_and_buffer_restored(monkeypatch):
+    # the two N-long kernel calls per k run with numpy's ufunc buffer at
+    # 256 elements (the nearest-center and the candidate distances); Lloyd's
+    # own calls and the caller keep theirs, also when a call raises
+    sizes = []
+
+    def recording(cols_t, rows, work=None):
+        sizes.append((np.getbufsize(), len(rows), cols_t.shape[1]))
+        return _sq_distances(cols_t, rows, work)
+
+    monkeypatch.setattr(clustering, "_sq_distances", recording)
+    data = Dataset(np.random.default_rng(5).normal(size=(60, 2)))
+    default = np.getbufsize()
+    np.setbufsize(16384)
+    try:
+        global_kmeanspp(data, 5, KMeansConfig(n_candidates=3, rng_seed=0))
+        assert np.getbufsize() == 16384
+        unbuffered = [(rows, cols) for size, rows, cols in sizes if size == 256]
+        assert unbuffered == [pair for k in range(2, 6) for pair in ((60, k - 1), (60, 3))]
+        buffered = {size for size, _, _ in sizes if size != 256}
+        assert buffered == {16384}
+
+        def failing(cols_t, rows, work=None):
+            raise MemoryError
+
+        monkeypatch.setattr(clustering, "_sq_distances", failing)
+        with pytest.raises(MemoryError):
+            global_kmeanspp(data, 3, KMeansConfig(rng_seed=0))
+        assert np.getbufsize() == 16384
+    finally:
+        np.setbufsize(default)
 
 
 def _assert_global_matches_cold_reference(data, k_max, config):

@@ -6,6 +6,7 @@ from silkit.core import (
     Labeling,
     _canonicalize_with_ids,
     _sq_distances,
+    _unbuffered,
     canonicalize_labels,
     pairwise_distances,
 )
@@ -58,6 +59,32 @@ def test_row_self_distance_zero():
     cols_t = np.ascontiguousarray(d.points.T)
     for i in range(9):
         assert _sq_distances(cols_t, d.points[i : i + 1])[i, 0] == 0.0
+
+
+def test_kernel_run_axis_is_each_run_alone():
+    # d x m x g columns against g x r x d rows: run j's columns against run
+    # j's rows, with the bits of the one-run call
+    rng = np.random.default_rng(4)
+    cols, rows = rng.normal(size=(3, 7, 2)), rng.normal(size=(3, 5, 2))
+    batched = _sq_distances(np.ascontiguousarray(cols.transpose(2, 1, 0)), rows)
+    assert batched.shape == (7, 3, 5)
+    for j in range(3):
+        alone = _sq_distances(np.ascontiguousarray(cols[j].T), rows[j])
+        assert batched[:, j].tobytes() == alone.tobytes()
+
+
+def test_unbuffered_restores_buffer_size():
+    default = np.getbufsize()
+    np.setbufsize(16384)
+    try:
+        with _unbuffered():
+            assert np.getbufsize() == 256
+        assert np.getbufsize() == 16384
+        with pytest.raises(ZeroDivisionError), _unbuffered():
+            1 / 0
+        assert np.getbufsize() == 16384
+    finally:
+        np.setbufsize(default)
 
 
 def test_non_finite_rejected():

@@ -51,6 +51,13 @@ def test_sweep_reproducible_bitwise():
     assert a.rows == b.rows
 
 
+def test_sweep_sample_of_every_row_raises():
+    data, _ = generate_blobs(separated_blobs_spec(3, 10, rng_seed=1))
+    for size in (data.n, data.n + 1):
+        with pytest.raises(ValueError, match="below the dataset size 30"):
+            sweep(data, 2, 3, KMeansConfig(rng_seed=0), sample_size=size)
+
+
 def test_sweep_sampled_scoring():
     data, _ = generate_blobs(separated_blobs_spec(4, 100, rng_seed=8))
     full = sweep(data, 2, 6, KMeansConfig(rng_seed=9))

@@ -1,9 +1,14 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from silkit.core import Dataset, Labeling
+from silkit import sampling, silhouette
+from silkit.core import Dataset, Labeling, canonicalize_labels
+from silkit.experiments import imbalance_dataset
 from silkit.sampling import (
     balanced_allocation,
     monte_carlo_study,
@@ -205,3 +210,89 @@ def test_spec_validation():
     for size in (0, 1, data.n + 1):
         with pytest.raises(ValueError, match="sample size must be in"):
             sample_and_score(data, labels, "uniform", size, 0)
+
+
+def _one_at_a_time(data, labels, cell, runs, seed_base, statistic):
+    scores = []
+    for run in range(runs):
+        result = sample_and_score(data, labels, cell.strategy, cell.size, seed_base + run)
+        if not result.defined:
+            scores.append(float("nan"))
+        else:
+            scores.append(result.report.macro if statistic == "macro" else result.micro_weighted)
+    return np.array(scores)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    cluster_sizes=st.lists(st.integers(1, 40), min_size=2, max_size=5),
+    d=st.integers(1, 3),
+    sample_sizes=st.lists(st.integers(2, 70), min_size=1, max_size=3),
+    runs=st.integers(1, 7),
+    statistic=st.sampled_from(["macro", "micro"]),
+    block_rows=st.sampled_from([4, 16, 1024]),
+    threads=st.sampled_from([1, 2]),
+)
+def test_monte_carlo_cells_bit_equal_to_single_runs(
+    seed, cluster_sizes, d, sample_sizes, runs, statistic, block_rows, threads
+):
+    # each cell scores its runs in groups of BLOCK_ROWS // L through one
+    # kernel call, padding the slabs to the group's widest counts; every
+    # score keeps the bits of the run scored alone. Singleton clusters,
+    # duplicate points (integer coordinates), runs that lose all but one
+    # cluster, L > BLOCK_ROWS and run counts that are no multiple of the
+    # group size all occur.
+    rng = np.random.default_rng(seed)
+    n = sum(cluster_sizes)
+    data = Dataset(rng.integers(-3, 4, size=(n, d)).astype(np.float64))
+    own = rng.permutation(np.repeat(np.arange(len(cluster_sizes)), cluster_sizes))
+    labels = Labeling(own, k=len(cluster_sizes))
+    sizes = sorted({min(size, n) for size in sample_sizes})
+    with (
+        mock.patch.object(silhouette, "BLOCK_ROWS", block_rows),
+        mock.patch.object(sampling, "BLOCK_ROWS", block_rows),
+    ):
+        cells = monte_carlo_study(
+            data, labels, sizes, runs, seed_base=seed, statistic=statistic, threads=threads
+        )
+        for cell in cells:
+            expected = _one_at_a_time(data, labels, cell, runs, seed, statistic)
+            assert cell.scores.tobytes() == expected.tobytes()
+            assert cell.undefined_runs == int(np.isnan(expected).sum())
+
+
+def test_monte_carlo_cells_past_one_block_bit_equal_to_single_runs():
+    # L > BLOCK_ROWS at the real block height: one run per group, scored
+    # in row blocks; uniform runs at L=3 on the imbalance set go undefined
+    data, labels = imbalance_dataset(1000, seed=2)
+    sizes, runs = [3, 1100], 3
+    cells = monte_carlo_study(data, labels, sizes, runs, seed_base=4, statistic="micro", threads=2)
+    for cell in cells:
+        expected = _one_at_a_time(data, labels, cell, runs, 4, "micro")
+        assert cell.scores.tobytes() == expected.tobytes()
+    assert cells[0].undefined_runs > 0
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_cell_memory_within_one_report():
+    # a group holds at most BLOCK_ROWS rows, so scoring a cell of 30 runs
+    # costs about one L=800 report's kernel buffers; scoring all 30 runs of
+    # the L=800 cell as one batch takes ~1.6x (their points, columns and
+    # scores at once)
+    data, labels = imbalance_dataset(1000, seed=0)
+    sample = sample_and_score(data, labels, "uniform", 800, 1)
+    sub_data = Dataset(data.points[sample.indices])
+    sub_labels = canonicalize_labels(labels.assignments[sample.indices])
+    single = _peak_bytes(lambda: full_report(sub_data, sub_labels))
+    for size in (800, 50):
+        cell = _peak_bytes(lambda: monte_carlo_study(data, labels, [size], runs=30, seed_base=1))
+        assert cell <= 1.25 * single, (size, cell, single)

@@ -259,6 +259,37 @@ def test_full_report_tiles_bit_identical(seed, n, d, height, width, threads):
     assert report.per_point.tobytes() == silhouette._scores_from_sums(sums, own, counts).tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    g=st.integers(1, 4),
+    n=st.integers(2, 40),
+    d=st.integers(1, 3),
+    k=st.integers(2, 5),
+    height=st.integers(1, 40),
+    width=st.floats(0.0, 1.0),
+    threads=st.integers(1, 3),
+)
+def test_score_runs_bit_identical_to_each_run_alone(seed, g, n, d, k, height, width, threads):
+    # g runs scored at once, with pad columns where their cluster counts
+    # differ and clusters absent from some runs, give every run the bits
+    # of its own full_report at any block height, tile width and thread count
+    rng = np.random.default_rng(seed)
+    runs = rng.integers(-3, 4, size=(g, n, d)).astype(np.float64)
+    own = rng.integers(0, k, size=(g, n))
+    own[:, :2] = rng.permutation(k)[:2]  # two clusters in every run
+    tile_elems = (1 + int(width * (n * k - 1))) * g * max(2, height)
+    with (
+        mock.patch.object(silhouette, "BLOCK_ROWS", g * height),
+        mock.patch.object(silhouette, "TILE_ELEMS", tile_elems),
+    ):
+        per_point, counts = silhouette._score_runs(runs, own, k, threads)
+    for j in range(g):
+        alone = full_report(Dataset(runs[j]), canonicalize_labels(own[j]))
+        assert per_point[j].tobytes() == alone.per_point.tobytes()
+        assert counts[j].tolist() == np.bincount(own[j], minlength=k).tolist()
+
+
 @pytest.mark.parametrize("threads", [None, 3])
 def test_full_report_restores_ufunc_buffer_size(threads):
     # each block shrinks numpy's ufunc buffer and restores it when done

@@ -4,13 +4,12 @@ estimation."""
 
 __version__ = "0.1.0"
 
-from .clustering import KMeansConfig, KMeansResult, global_kmeanspp, lloyd
-from .core import Dataset, Labeling, canonicalize_labels, pairwise_distances
+from .clustering import KMeansConfig, KMeansResult, global_kmeanspp
+from .core import Dataset, Labeling, canonicalize_labels
 from .kselect import SweepResult, SweepRow, sweep
 from .sampling import MonteCarloCell, SampleResult, monte_carlo_study, sample_and_score
 from .silhouette import SilhouetteReport, SilhouetteUndefinedError, full_report
 from .synth import (
-    BlobSpec,
     add_background_noise,
     generate_blobs,
     grow_nucleus,
@@ -23,7 +22,6 @@ __all__ = [
     "__version__",
     "Dataset",
     "Labeling",
-    "pairwise_distances",
     "canonicalize_labels",
     "SilhouetteReport",
     "SilhouetteUndefinedError",
@@ -34,12 +32,10 @@ __all__ = [
     "monte_carlo_study",
     "KMeansConfig",
     "KMeansResult",
-    "lloyd",
     "global_kmeanspp",
     "SweepRow",
     "SweepResult",
     "sweep",
-    "BlobSpec",
     "generate_blobs",
     "grow_nucleus",
     "randomize_except",

@@ -115,7 +115,12 @@ def cmd_gen(args) -> int:
         raise ValueError(f"--nucleus-extra must be at least 0, got {args.nucleus_extra}")
     if not 0 <= args.noise_pct < 100:
         raise ValueError(f"--noise-pct must be in [0, 100), got {args.noise_pct}")
-    if args.profile == "varied" or args.nucleus_extra > 0:
+    varied = args.profile == "varied" or args.nucleus_extra > 0
+    if varied and args.stddev is not None:
+        raise ValueError("--stddev sets the even profile only; the varied layout fixes its own stddevs")
+    if args.stddev is None:
+        args.stddev = 1.0  # the default, recorded for both layouts
+    if varied:
         data, labels = imbalance_dataset(args.n + args.nucleus_extra, args.n, args.seed)
         if args.k != labels.k:
             raise ValueError(
@@ -270,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     blobs.add_argument("--nucleus-extra", type=int, default=0, help="points added to the nucleus cluster (implies --profile varied)")
     blobs.add_argument("--noise-pct", type=float, default=0.0, help="background noise level in percent")
     blobs.add_argument("--noise-pad", type=float, default=0.10, help="noise box padding per side (fraction of span)")
-    blobs.add_argument("--stddev", type=float, default=1.0, help="blob stddev for the even profile")
+    blobs.add_argument("--stddev", type=float, help="blob stddev for the even profile")
     blobs.set_defaults(func=cmd_gen)
 
     score = sub.add_parser(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .clustering import KMeansConfig
 from .core import Dataset, Labeling, _parallel_map
-from .kselect import SweepResult, sweep
+from .kselect import sweep
 from .sampling import MonteCarloCell, monte_carlo_study
 from .silhouette import full_report
 from .synth import (
@@ -35,7 +35,6 @@ __all__ = [
     "noise_study",
     "SampleStudyResult",
     "sample_study",
-    "imbalance_sweep",
 ]
 
 # rng streams derived from one experiment seed
@@ -44,6 +43,10 @@ _RANDOMIZE_OFFSET = 2
 _NOISE_OFFSET = 10
 
 NUCLEUS_STDDEV = 0.05
+
+# the noise study's base layout: separated blobs of equal size
+NOISE_STUDY_BLOBS = 4
+NOISE_STUDY_POINTS = 200
 
 # The separated four-blob layout leaves most of the expanded box empty, so
 # background noise spread "uniformly in the data space" needs a wider field
@@ -75,7 +78,6 @@ class NucleusStudyRow:
 def nucleus_study(
     sizes=(100, 500, 1000, 2000, 5000, 10_000),
     *,
-    points_per_cluster: int = 100,
     seed: int = 0,
     threads: int | None = None,
 ) -> list[NucleusStudyRow]:
@@ -90,16 +92,11 @@ def nucleus_study(
     turn, each scored on ``threads`` threads: the largest size is most of
     the work, so a pool over sizes would leave threads idle.
     """
-    k = len(imbalance_demo_spec(points_per_cluster, seed).centers)
 
     def one(size: int) -> NucleusStudyRow:
-        data, truth = imbalance_dataset(size, points_per_cluster, seed)
-        randomized = randomize_except(
-            truth,
-            NUCLEUS_CLUSTER,
-            k,
-            np.random.default_rng(seed + _RANDOMIZE_OFFSET),
-        )
+        data, truth = imbalance_dataset(size, seed=seed)
+        rng = np.random.default_rng(seed + _RANDOMIZE_OFFSET)
+        randomized = randomize_except(truth, NUCLEUS_CLUSTER, rng)
         rand_report = full_report(data, randomized, threads)
         truth_report = full_report(data, truth, threads)
         return NucleusStudyRow(
@@ -126,8 +123,6 @@ def noise_study(
     *,
     k_min: int = 2,
     k_max: int = 30,
-    blobs: int = 4,
-    points_per_cluster: int = 200,
     seed: int = 0,
     cluster_seed: int = 5,
     noise_pad: float = NOISE_STUDY_PAD,
@@ -138,7 +133,8 @@ def noise_study(
     For each level, noise is injected into the same separated-blob dataset,
     the clusterer sweeps k, and both aggregations pick their best k.
     """
-    base, base_labels = generate_blobs(separated_blobs_spec(blobs, points_per_cluster, seed))
+    spec = separated_blobs_spec(NOISE_STUDY_BLOBS, NOISE_STUDY_POINTS, seed)
+    base, base_labels = generate_blobs(spec)
 
     def one(item) -> NoiseStudyRow:
         index, level = item
@@ -160,7 +156,6 @@ def noise_study(
 class SampleStudyResult:
     cells: list[MonteCarloCell]
     full_score: float
-    statistic: str
 
 
 def sample_study(
@@ -187,19 +182,5 @@ def sample_study(
         statistic=statistic,
         threads=threads,
     )
-    return SampleStudyResult(cells=cells, full_score=float(full_score), statistic=statistic)
+    return SampleStudyResult(cells=cells, full_score=float(full_score))
 
-
-def imbalance_sweep(
-    nucleus_total: int = 10_000,
-    *,
-    k_min: int = 2,
-    k_max: int = 30,
-    seed: int = 0,
-    cluster_seed: int = 1,
-    sample_size: int | None = 1200,
-) -> SweepResult:
-    """The k-estimation sweep on the imbalance demo dataset, scored with a
-    cluster-balanced subsample per k (or fully when sample_size is None)."""
-    data, _ = imbalance_dataset(nucleus_total, seed=seed)
-    return sweep(data, k_min, k_max, KMeansConfig(rng_seed=cluster_seed), sample_size=sample_size)

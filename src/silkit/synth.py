@@ -119,14 +119,9 @@ def grow_nucleus(
     return Dataset(points, truth_labels=truth), Labeling(assignments, labels.k)
 
 
-def randomize_except(
-    labels: Labeling,
-    keep_cluster: int,
-    k: int,
-    rng: np.random.Generator,
-) -> Labeling:
-    """Random uniform labels, drawn from the k-1 labels other than
-    ``keep_cluster``, for every point outside ``keep_cluster``.
+def randomize_except(labels: Labeling, keep_cluster: int, rng: np.random.Generator) -> Labeling:
+    """Random uniform labels, drawn from the ``labels.k - 1`` labels other
+    than ``keep_cluster``, for every point outside ``keep_cluster``.
 
     Excluding the kept label keeps the preserved cluster pure; the nucleus
     growth study relies on that to hold its macro score constant while the
@@ -134,6 +129,7 @@ def randomize_except(
     """
     if not 0 <= keep_cluster < labels.k:
         raise ValueError(f"unknown cluster id {keep_cluster}")
+    k = labels.k
     if k < 2:
         raise ValueError("excluding the kept label requires k >= 2")
     out = np.asarray(labels.assignments).copy()

@@ -15,7 +15,7 @@ from silkit.cli import main as cli_main
 from silkit.clustering import KMeansConfig
 from silkit.core import Dataset, canonicalize_labels
 from silkit.experiments import (
-    imbalance_sweep,
+    imbalance_dataset,
     noise_study,
     nucleus_study,
     sample_study,
@@ -136,7 +136,8 @@ def test_criterion_4_sampling_monte_carlo():
 
 def test_criterion_5_k_estimation_sweep():
     t0 = time.time()
-    result = imbalance_sweep()
+    data, _ = imbalance_dataset(10_000, seed=0)
+    result = sweep(data, 2, 30, KMeansConfig(rng_seed=1), sample_size=1200)
     micro_max = max(r.micro for r in result.rows)
     assert result.argmax_macro == 12
     assert result.argmax_micro != 12
@@ -189,7 +190,7 @@ def test_criterion_7_wine_spot_check():
             "(first column = class label, 13 numeric features) or set SILKIT_WINE_CSV"
         )
     t0 = time.time()
-    data = load_csv(path, ColumnSchema.all_numeric(14, label_column=0))
+    data = load_csv(path, ColumnSchema(("label",) + ("numeric",) * 13))
     result = sweep(data, 2, 30, KMeansConfig(rng_seed=0))
     assert result.argmax_micro == 3
     assert result.argmax_macro == 3

@@ -81,6 +81,28 @@ def test_bad_dataset_csv_is_one_located_line(tmp_path, capsys, body, located):
     assert not out.exists()
 
 
+def test_dataset_csv_without_feature_column_is_one_line_error(tmp_path, capsys):
+    data = tmp_path / "labels_only.csv"
+    data.write_text("label\n0\n1\n")
+    out = tmp_path / "report.json"
+    assert run(["score", "--data", str(data), "-o", str(out)]) == 1
+    assert _one_error_line(capsys) == f"error: {data}: no feature column before 'label'"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["inf", "-1e400", "NAN"])
+def test_non_finite_schema_cell_is_one_located_line(tmp_path, capsys, cell):
+    # "NAN" is not a missing sentinel, so it is a value, and not a finite one
+    raw = tmp_path / "raw.csv"
+    raw.write_text(f"0.5,a\n{cell},b\n1.5,a\n2.5,b\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text('{"columns": ["numeric", "label"]}')
+    out = tmp_path / "report.json"
+    assert run(["score", "--data", str(raw), "--schema", str(schema), "-o", str(out)]) == 1
+    assert _one_error_line(capsys) == f"error: {raw}: row 2, column 0: {cell!r} is not a finite number"
+    assert not out.exists()
+
+
 def test_sweep_k_max_up_to_n_minus_one(tmp_path, capsys):
     data = tmp_path / "ten.csv"
     run(["gen", "blobs", "--k", "2", "--n", "5", "--seed", "3", "-o", str(data)])
@@ -443,6 +465,15 @@ def test_schema_is_recorded(tmp_path):
     assert configs[0] != configs[1] and micros[0] != micros[1]
 
 
+@pytest.mark.parametrize("layout", [["--profile", "varied"], ["--nucleus-extra", "5"]])
+def test_gen_stddev_with_varied_layout_is_one_line_error(tmp_path, capsys, layout):
+    # the varied layout has its own stddevs, so --stddev would change nothing
+    out = tmp_path / "x.csv"
+    assert run(["gen", "blobs", "--k", "12", "--n", "10", *layout, "--stddev", "5", "-o", str(out)]) == 1
+    assert _one_error_line(capsys).startswith("error: --stddev sets the even profile only")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--noise-pct", "--nucleus-extra"])
 def test_gen_negative_amount_is_one_line_error(tmp_path, capsys, flag):
     out = tmp_path / "x.csv"
@@ -520,3 +551,26 @@ def test_outputs_match_parent_digests(tmp_path, monkeypatch):
         name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS
     }
     assert digests == GOLDEN_DIGESTS
+
+
+# sha256 of each leaf command's --help at 80 columns (argparse wraps to the
+# terminal width, and its layout can differ between Python versions; these
+# are Python 3.11's). A changed flag, choice or help string shows here.
+HELP_DIGESTS = {
+    "gen blobs": "35e7023aa4f64467ee1530dce6f77267635297a7f8214bb753c484237d670a33",
+    "score": "c8ee2c1028ca6ccbc0659224fb0317964ef6d1bcdfa811c00680f47a37fc06e2",
+    "cluster": "916d16dad4fb260ef2d6fd94e52247f0b11da74e20fc087301af3e736965cf33",
+    "sweep": "f9344754082f07e5aa545fc32f33bd6333b4b8fa4935e837914d47672ef7e9a5",
+    "nucleus-study": "bbf4a403a1f85d289306eaff207b97971016be237758eea85c8319481e321904",
+    "noise-study": "4a783f07b4378b0f6fb144c8d4882445ddb3ad1a8f8a4e2dd2230205d1112641",
+    "sample-study": "0d8e04ad59cc99397857836e7c11bcfb3cc07840044f6ec01b612dc351d55628",
+}
+
+
+@pytest.mark.parametrize("command", HELP_DIGESTS)
+def test_leaf_help_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        run(command.split() + ["--help"])
+    assert exit_info.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_DIGESTS[command]

@@ -59,7 +59,6 @@ def test_sample_study_shapes():
     assert len(res.cells) == 4  # 2 sizes x 2 strategies
     for cell in res.cells:
         assert len(cell.scores) == 4
-    assert res.statistic == "macro"
     assert -1.0 <= res.full_score <= 1.0
 
 

@@ -34,7 +34,7 @@ def test_load_wine_shaped(tmp_path):
         feats = rng.uniform(0, 10, size=13)
         lines.append(",".join([str(label)] + [f"{v:.3f}" for v in feats]))
     path = write(tmp_path, "\n".join(lines) + "\n")
-    data = load_csv(path, ColumnSchema.all_numeric(14, label_column=0))
+    data = load_csv(path, ColumnSchema(("label",) + ("numeric",) * 13))
     assert data.n == 178
     assert data.points.shape == (178, 13)
     assert data.truth_labels[:3].tolist() == [0, 1, 2]

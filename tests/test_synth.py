@@ -81,7 +81,7 @@ def test_grow_unknown_cluster():
 
 def test_randomize_keeps_kept_cluster_together():
     labels = Labeling(np.repeat([0, 1, 2], 50), k=3)
-    out = randomize_except(labels, 1, 3, np.random.default_rng(4))
+    out = randomize_except(labels, 1, np.random.default_rng(4))
     kept = out.assignments[50:100]
     assert len(np.unique(kept)) == 1
 
@@ -90,12 +90,12 @@ def test_randomize_keep_only_cluster_identity():
     # with one label there is no other label to draw from
     labels = Labeling(np.zeros(20, dtype=np.int64), k=1)
     with pytest.raises(ValueError, match="k >= 2"):
-        randomize_except(labels, 0, 1, np.random.default_rng(5))
+        randomize_except(labels, 0, np.random.default_rng(5))
 
 
 def test_randomize_exclude_kept_label():
     labels = Labeling(np.repeat([0, 1, 2, 3], 25), k=4)
-    out = randomize_except(labels, 0, 4, np.random.default_rng(6))
+    out = randomize_except(labels, 0, np.random.default_rng(6))
     # the kept cluster label maps to some canonical id; no outside point has it
     kept_id = out.assignments[0]
     assert (out.assignments[:25] == kept_id).all()

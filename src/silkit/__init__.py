@@ -13,9 +13,9 @@ from .synth import (
     add_background_noise,
     generate_blobs,
     grow_nucleus,
-    imbalance_demo_spec,
+    imbalance_dataset,
     randomize_except,
-    separated_blobs_spec,
+    separated_blobs,
 )
 
 __all__ = [
@@ -40,6 +40,6 @@ __all__ = [
     "grow_nucleus",
     "randomize_except",
     "add_background_noise",
-    "imbalance_demo_spec",
-    "separated_blobs_spec",
+    "imbalance_dataset",
+    "separated_blobs",
 ]

@@ -26,16 +26,15 @@ from .experiments import (
     NOISE_STUDY_PAD,
     NoiseStudyRow,
     NucleusStudyRow,
-    imbalance_dataset,
     noise_study,
     nucleus_study,
     sample_study,
 )
 from .ingest import ColumnSchema, load_csv, read_dataset_csv, write_csv, write_dataset_csv
 from .kselect import SweepRow, sweep
-from .sampling import sample_and_score
+from .sampling import STRATEGIES, sample_and_score
 from .silhouette import full_report
-from .synth import add_background_noise, generate_blobs, separated_blobs_spec
+from .synth import add_background_noise, imbalance_dataset, separated_blobs
 
 PROFILES = ("even", "varied")
 
@@ -127,9 +126,7 @@ def cmd_gen(args) -> int:
                 f"the varied profile is the {labels.k}-cluster demo layout; use --k {labels.k}"
             )
     else:
-        data, labels = generate_blobs(
-            separated_blobs_spec(args.k, args.n, args.seed, stddev=args.stddev)
-        )
+        data, labels = separated_blobs(args.k, args.n, args.seed, stddev=args.stddev)
     data = add_background_noise(data, labels, args.noise_pct / 100.0, args.seed + 2, args.noise_pad)
     write_dataset_csv(args.output, data, header_lines=_config(args))
     print(f"wrote {data.n} rows to {args.output}")
@@ -283,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     score.add_argument("--labels", help="optional label file overriding the CSV label column")
     score.add_argument("--sample", type=int, help="score a subsample of this size")
-    score.add_argument("--strategy", choices=("uniform", "balanced"), default="balanced")
+    score.add_argument("--strategy", choices=STRATEGIES, default="balanced")
     score.set_defaults(func=cmd_score)
 
     cluster = sub.add_parser("cluster", parents=[common, dataset], help="global k-means++ clustering")
@@ -297,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--k-min", type=int, default=2)
     sweep_p.add_argument("--k-max", type=int, default=30)
     sweep_p.add_argument("--sample", type=int, help="balanced-sample size for scoring each k")
-    sweep_p.add_argument("--strategy", choices=("uniform", "balanced"), default="balanced")
+    sweep_p.add_argument("--strategy", choices=STRATEGIES, default="balanced")
     sweep_p.add_argument("--candidates", type=int, default=10)
     sweep_p.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep_p.set_defaults(func=cmd_sweep)
@@ -346,6 +343,12 @@ def main(argv=None) -> int:
                 args.seed = int(env_seed)
             except ValueError:
                 raise ValueError(f"SIL_SEED must be an integer, got {env_seed!r}") from None
+            if args.seed < 0:
+                raise ValueError(f"SIL_SEED must be at least 0, got {args.seed}")
+        for key in ("seed", "cluster_seed", "sample_seed_base"):
+            value = getattr(args, key, 0)
+            if value < 0:
+                raise ValueError(f"--{key.replace('_', '-')} must be at least 0, got {value}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

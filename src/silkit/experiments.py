@@ -13,22 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import KMeansConfig
-from .core import Dataset, Labeling, _parallel_map
+from .core import _parallel_map
 from .kselect import sweep
 from .sampling import MonteCarloCell, monte_carlo_study
 from .silhouette import full_report
 from .synth import (
     NUCLEUS_CLUSTER,
     add_background_noise,
-    generate_blobs,
-    grow_nucleus,
-    imbalance_demo_spec,
+    imbalance_dataset,
     randomize_except,
-    separated_blobs_spec,
+    separated_blobs,
 )
 
 __all__ = [
-    "imbalance_dataset",
     "NucleusStudyRow",
     "nucleus_study",
     "NoiseStudyRow",
@@ -37,12 +34,10 @@ __all__ = [
     "sample_study",
 ]
 
-# rng streams derived from one experiment seed
-_GROW_OFFSET = 1
+# rng streams derived from one experiment seed (imbalance_dataset grows
+# the nucleus from seed + 1)
 _RANDOMIZE_OFFSET = 2
 _NOISE_OFFSET = 10
-
-NUCLEUS_STDDEV = 0.05
 
 # the noise study's base layout: separated blobs of equal size
 NOISE_STUDY_BLOBS = 4
@@ -52,18 +47,6 @@ NOISE_STUDY_POINTS = 200
 # background noise spread "uniformly in the data space" needs a wider field
 # than the default bounding-box pad.
 NOISE_STUDY_PAD = 0.75
-
-
-def imbalance_dataset(
-    nucleus_total: int = 10_000, points_per_cluster: int = 100, seed: int = 0
-) -> tuple[Dataset, Labeling]:
-    """The 12-cluster imbalance demo grown to the requested nucleus size."""
-    if nucleus_total < points_per_cluster:
-        raise ValueError("nucleus_total must be at least points_per_cluster")
-    data, labels = generate_blobs(imbalance_demo_spec(points_per_cluster, seed))
-    added = nucleus_total - points_per_cluster
-    rng = np.random.default_rng(seed + _GROW_OFFSET)
-    return grow_nucleus(data, labels, NUCLEUS_CLUSTER, added, NUCLEUS_STDDEV, rng)
 
 
 @dataclass(frozen=True)
@@ -133,8 +116,7 @@ def noise_study(
     For each level, noise is injected into the same separated-blob dataset,
     the clusterer sweeps k, and both aggregations pick their best k.
     """
-    spec = separated_blobs_spec(NOISE_STUDY_BLOBS, NOISE_STUDY_POINTS, seed)
-    base, base_labels = generate_blobs(spec)
+    base, base_labels = separated_blobs(NOISE_STUDY_BLOBS, NOISE_STUDY_POINTS, seed)
 
     def one(item) -> NoiseStudyRow:
         index, level = item

@@ -136,7 +136,7 @@ def load_csv(path, schema: ColumnSchema) -> Dataset:
         col = numeric[:, j]
         missing = np.isnan(col)
         if missing.all():
-            raise ValueError(f"column {header[i]!r} has no present values to impute from")
+            raise ValueError(f"{path}: column {header[i]!r} has no present values to impute from")
         if missing.any():
             col[missing] = col[~missing].mean()
 
@@ -145,7 +145,7 @@ def load_csv(path, schema: ColumnSchema) -> Dataset:
         col = np.array([row[i].strip() for row in rows], dtype=object)
         blocks += [(col == v).astype(np.float64)[:, None] for v in sorted(set(col))]
     if not blocks:
-        raise ValueError("table has no feature columns")
+        raise ValueError(f"{path}: table has no feature columns")
     x = np.hstack(blocks)
     lo = x.min(axis=0)
     span = x.max(axis=0) - lo

@@ -3,37 +3,35 @@ cluster-imbalance experiments, label randomization that keeps one cluster
 pure, and uniform background noise injection (noise rows appended with
 truth label -1).
 
-Two canned layouts are provided. ``separated_blobs_spec`` places k equal
-clusters on a ring with adjacent centers 16 standard deviations apart.
-``imbalance_demo_spec`` reconstructs the 12-cluster demo used throughout
-the imbalance experiments: a tight "nucleus" cluster at the origin, a
-radially aligned pair of clusters east of it (the cheapest merge for a
-clusterer, and the nucleus's nearest neighbors), and nine moderately soft
-clusters spread over varied radii and angles. The varied radii make a
-random relabeling score clearly negative, while every cluster remains
-coherent enough that the 12-way partition is the macro-silhouette optimum.
+Two canned datasets are built in one call each. ``separated_blobs`` places
+k equal clusters on a ring with adjacent centers 16 standard deviations
+apart. ``imbalance_dataset`` is the 12-cluster demo used throughout the
+imbalance experiments: a tight "nucleus" cluster at the origin, a radially
+aligned pair of clusters east of it (the cheapest merge for a clusterer,
+and the nucleus's nearest neighbors), and nine moderately soft clusters
+spread over varied radii and angles, with the nucleus grown to a requested
+size. The varied radii make a random relabeling score clearly negative,
+while every cluster remains coherent enough that the 12-way partition is
+the macro-silhouette optimum.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Dataset, Labeling, canonicalize_labels
 
 __all__ = [
-    "BlobSpec",
     "generate_blobs",
     "grow_nucleus",
     "randomize_except",
     "add_background_noise",
-    "imbalance_demo_spec",
-    "separated_blobs_spec",
+    "imbalance_dataset",
+    "separated_blobs",
     "NUCLEUS_CLUSTER",
 ]
 
-# Cluster id of the nucleus blob in imbalance_demo_spec layouts.
+# Cluster id of the nucleus blob in the imbalance demo.
 NUCLEUS_CLUSTER = 0
 
 # Frozen imbalance-demo layout: (center x, center y, stddev).
@@ -54,39 +52,26 @@ _DEMO_LAYOUT = (
 )
 
 
-@dataclass(frozen=True)
-class BlobSpec:
-    """Isotropic Gaussian mixture: one center/stddev/count per blob."""
-
-    centers: tuple[tuple[float, ...], ...]
-    stddevs: tuple[float, ...]
-    counts: tuple[int, ...]
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not (len(self.centers) == len(self.stddevs) == len(self.counts)):
-            raise ValueError("centers, stddevs and counts must have equal length")
-        if len(self.centers) < 1:
-            raise ValueError("at least one blob is required")
-        if any(c < 1 for c in self.counts):
-            raise ValueError("counts must be >= 1")
-        if any(s <= 0 for s in self.stddevs):
-            raise ValueError("stddevs must be > 0")
-        dims = {len(c) for c in self.centers}
-        if len(dims) != 1:
-            raise ValueError("all centers must share one dimensionality")
-
-
-def generate_blobs(spec: BlobSpec) -> tuple[Dataset, Labeling]:
-    """Sample every blob and attach the generating labels as ground truth."""
-    rng = np.random.default_rng(spec.rng_seed)
+def generate_blobs(centers, stddevs, counts, seed: int = 0) -> tuple[Dataset, Labeling]:
+    """Isotropic Gaussian mixture: sample one center/stddev/count per blob
+    and attach the generating labels as ground truth."""
+    if not (len(centers) == len(stddevs) == len(counts)):
+        raise ValueError("centers, stddevs and counts must have equal length")
+    if len(centers) < 1:
+        raise ValueError("at least one blob is required")
+    if any(c < 1 for c in counts):
+        raise ValueError("counts must be >= 1")
+    if any(s <= 0 for s in stddevs):
+        raise ValueError("stddevs must be > 0")
+    if len({len(c) for c in centers}) != 1:
+        raise ValueError("all centers must share one dimensionality")
+    rng = np.random.default_rng(seed)
     pts, lab = [], []
-    for j, (center, sd, count) in enumerate(zip(spec.centers, spec.stddevs, spec.counts)):
+    for j, (center, sd, count) in enumerate(zip(centers, stddevs, counts)):
         pts.append(rng.normal(center, sd, size=(count, len(center))))
         lab.append(np.full(count, j, dtype=np.int64))
-    points = np.vstack(pts)
     labels = np.concatenate(lab)
-    return Dataset(points, truth_labels=labels), Labeling(labels, k=len(spec.centers))
+    return Dataset(np.vstack(pts), truth_labels=labels), Labeling(labels, k=len(centers))
 
 
 def grow_nucleus(
@@ -160,6 +145,8 @@ def add_background_noise(
     """
     if not 0.0 <= level < 1.0:
         raise ValueError(f"noise level must be in [0, 1), got {level}")
+    if not (np.isfinite(pad) and pad >= 0.0):
+        raise ValueError(f"noise pad must be a finite number >= 0, got {pad}")
     n = noise_count(data.n, level)
     base_truth = data.truth_labels if data.truth_labels is not None else labels.assignments
     if n == 0:
@@ -176,35 +163,37 @@ def add_background_noise(
     return Dataset(points, truth_labels=truth)
 
 
-def imbalance_demo_spec(points_per_cluster: int = 100, rng_seed: int = 0) -> BlobSpec:
-    """The frozen 12-cluster imbalance demo layout (see module docstring)."""
-    return BlobSpec(
-        centers=tuple((x, y) for x, y, _ in _DEMO_LAYOUT),
-        stddevs=tuple(sd for _, _, sd in _DEMO_LAYOUT),
-        counts=(points_per_cluster,) * len(_DEMO_LAYOUT),
-        rng_seed=rng_seed,
+def imbalance_dataset(
+    nucleus_total: int = 10_000, points_per_cluster: int = 100, seed: int = 0
+) -> tuple[Dataset, Labeling]:
+    """The 12-cluster imbalance demo (see module docstring), its nucleus
+    grown to ``nucleus_total`` points with the nucleus blob's own stddev,
+    drawn from an rng seeded with ``seed + 1``."""
+    if nucleus_total < points_per_cluster:
+        raise ValueError("nucleus_total must be at least points_per_cluster")
+    data, labels = generate_blobs(
+        [(x, y) for x, y, _ in _DEMO_LAYOUT],
+        [sd for _, _, sd in _DEMO_LAYOUT],
+        [points_per_cluster] * len(_DEMO_LAYOUT),
+        seed,
     )
+    added = nucleus_total - points_per_cluster
+    rng = np.random.default_rng(seed + 1)
+    return grow_nucleus(data, labels, NUCLEUS_CLUSTER, added, _DEMO_LAYOUT[NUCLEUS_CLUSTER][2], rng)
 
 
-def separated_blobs_spec(
-    k: int, points_per_cluster: int, rng_seed: int = 0, *, stddev: float = 1.0
-) -> BlobSpec:
+def separated_blobs(
+    k: int, points_per_cluster: int, seed: int = 0, *, stddev: float = 1.0
+) -> tuple[Dataset, Labeling]:
     """k equal blobs on a ring with adjacent centers 16 apart."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
-        centers = ((0.0, 0.0),)
+        centers = [(0.0, 0.0)]
     else:
         radius = 16.0 / (2.0 * np.sin(np.pi / k))
         # phase offset puts k=4 on the corners of an axis-aligned square, so
         # the blobs span the bounding box instead of its edge midpoints
         angles = [np.pi / k + 2.0 * np.pi * j / k for j in range(k)]
-        centers = tuple(
-            (radius * float(np.cos(a)), radius * float(np.sin(a))) for a in angles
-        )
-    return BlobSpec(
-        centers=centers,
-        stddevs=(stddev,) * k,
-        counts=(points_per_cluster,) * k,
-        rng_seed=rng_seed,
-    )
+        centers = [(radius * float(np.cos(a)), radius * float(np.sin(a))) for a in angles]
+    return generate_blobs(centers, [stddev] * k, [points_per_cluster] * k, seed)

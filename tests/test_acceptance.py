@@ -14,15 +14,11 @@ import pytest
 from silkit.cli import main as cli_main
 from silkit.clustering import KMeansConfig
 from silkit.core import Dataset, canonicalize_labels
-from silkit.experiments import (
-    imbalance_dataset,
-    noise_study,
-    nucleus_study,
-    sample_study,
-)
+from silkit.experiments import noise_study, nucleus_study, sample_study
 from silkit.ingest import ColumnSchema, load_csv
 from silkit.kselect import sweep
 from silkit.silhouette import full_report
+from silkit.synth import imbalance_dataset
 
 from naive import naive_silhouette
 

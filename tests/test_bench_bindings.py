@@ -1,6 +1,6 @@
-"""The benchmark binds silkit functions by name (``bench/layers.py``), and
-tier 1 does not run ``bench/``: these checks fail here when a name the
-benchmark needs is deleted or renamed."""
+"""The benchmark binds silkit functions by name (``bench/layers.py``):
+these checks fail fast, without a traced run, when a name the benchmark
+needs is deleted or renamed."""
 
 import importlib
 import pkgutil

@@ -482,6 +482,67 @@ def test_gen_negative_amount_is_one_line_error(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pad", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "blobs", "--k", "2", "--n", "5"],
+        ["gen", "blobs", "--k", "2", "--n", "5", "--noise-pct", "50"],
+        ["noise-study", "--levels", "0,50", "--k-max", "3", "--threads", "1"],
+    ],
+    ids=["gen-no-noise", "gen", "noise-study"],
+)
+def test_bad_noise_pad_is_one_line_error(tmp_path, capsys, argv, pad):
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--noise-pad", pad, "-o", str(out)]) == 1
+    assert _one_error_line(capsys) == f"error: noise pad must be a finite number >= 0, got {float(pad)}"
+    assert not out.exists()
+
+
+SEED_FLAGS = [(argv, "--seed") for argv in LEAF_COMMANDS] + [
+    (["noise-study", "--levels", "0", "--k-max", "3", "--threads", "1"], "--cluster-seed"),
+    (LEAF_COMMANDS[-1], "--sample-seed-base"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", SEED_FLAGS, ids=[f"{argv[0]}{flag}" for argv, flag in SEED_FLAGS])
+def test_negative_seed_is_one_line_error(tmp_path, capsys, argv, flag):
+    data = tmp_path / "data.csv"
+    run(["gen", "blobs", "--k", "2", "--n", "15", "-o", str(data)])
+    out = tmp_path / "out.csv"
+    filled = [a.format(data=data, summary=tmp_path / "summary.csv") for a in argv]
+    assert run(filled + [flag, "-1", "-o", str(out)]) == 1
+    assert _one_error_line(capsys) == f"error: {flag} must be at least 0, got -1"
+    assert not out.exists() and not (tmp_path / "summary.csv").exists()
+
+
+def test_negative_env_seed_is_one_line_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SIL_SEED", "-3")
+    out = tmp_path / "x.csv"
+    assert run(["gen", "blobs", "--seed", "4", "-o", str(out)]) == 1
+    assert _one_error_line(capsys) == "error: SIL_SEED must be at least 0, got -3"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kinds, fault",
+    [
+        (["ignore", "label"], "table has no feature columns"),
+        (["numeric", "label"], "column 'c0' has no present values to impute from"),
+    ],
+    ids=["no-features", "all-missing"],
+)
+def test_table_level_schema_error_names_the_file(tmp_path, capsys, kinds, fault):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("?,a\n?,b\n?,a\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"columns": kinds}))
+    out = tmp_path / "report.json"
+    assert run(["score", "--data", str(raw), "--schema", str(schema), "-o", str(out)]) == 1
+    assert _one_error_line(capsys) == f"error: {raw}: {fault}"
+    assert not out.exists()
+
+
 # Every command on small inputs, with relative paths so the recorded configs
 # do not depend on the working directory. The digests are those of the
 # outputs written before the config recorder and row writer were shared;

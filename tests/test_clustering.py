@@ -13,7 +13,7 @@ from silkit.clustering import (
     lloyd,
 )
 from silkit.core import Dataset, _sq_distances
-from silkit.synth import generate_blobs, separated_blobs_spec
+from silkit.synth import separated_blobs
 
 from naive import broadcast_sq_distances, reference_global_kmeanspp, reference_lloyd
 
@@ -429,7 +429,7 @@ def _ari(a, b):
 
 
 def test_global_recovers_separated_blobs():
-    data, truth = generate_blobs(separated_blobs_spec(4, 50, rng_seed=7))
+    data, truth = separated_blobs(4, 50, 7)
     results = global_kmeanspp(data, 4, KMeansConfig(rng_seed=1))
     assert _ari(results[4].labeling.assignments, truth.assignments) == pytest.approx(1.0)
 

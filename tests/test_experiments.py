@@ -4,12 +4,8 @@ reproductions live in test_acceptance.py."""
 import numpy as np
 import pytest
 
-from silkit.experiments import (
-    imbalance_dataset,
-    noise_study,
-    nucleus_study,
-    sample_study,
-)
+from silkit.experiments import noise_study, nucleus_study, sample_study
+from silkit.synth import imbalance_dataset
 
 
 def test_imbalance_dataset_sizes():

@@ -4,7 +4,7 @@ import pytest
 from silkit.clustering import KMeansConfig
 from silkit.core import Dataset
 from silkit.kselect import SweepResult, SweepRow, sweep
-from silkit.synth import generate_blobs, separated_blobs_spec
+from silkit.synth import separated_blobs
 
 
 def make_sweep(rows):
@@ -12,7 +12,7 @@ def make_sweep(rows):
 
 
 def test_single_k_sweep():
-    data, _ = generate_blobs(separated_blobs_spec(5, 20, rng_seed=0))
+    data, _ = separated_blobs(5, 20, 0)
     result = sweep(data, 5, 5, KMeansConfig(rng_seed=1))
     assert len(result.rows) == 1
     assert result.argmax_micro == 5
@@ -32,34 +32,34 @@ def test_estimate_tie_returns_smaller_k():
 
 
 def test_sweep_finds_true_k_on_blobs():
-    data, _ = generate_blobs(separated_blobs_spec(4, 60, rng_seed=2))
+    data, _ = separated_blobs(4, 60, 2)
     result = sweep(data, 2, 8, KMeansConfig(rng_seed=3))
     assert result.argmax_micro == 4
     assert result.argmax_macro == 4
 
 
 def test_sweep_balanced_blobs_micro_equals_macro_argmax():
-    data, _ = generate_blobs(separated_blobs_spec(3, 50, rng_seed=4))
+    data, _ = separated_blobs(3, 50, 4)
     result = sweep(data, 2, 6, KMeansConfig(rng_seed=5))
     assert result.argmax_micro == result.argmax_macro == 3
 
 
 def test_sweep_reproducible_bitwise():
-    data, _ = generate_blobs(separated_blobs_spec(3, 40, rng_seed=6))
+    data, _ = separated_blobs(3, 40, 6)
     a = sweep(data, 2, 6, KMeansConfig(rng_seed=7))
     b = sweep(data, 2, 6, KMeansConfig(rng_seed=7))
     assert a.rows == b.rows
 
 
 def test_sweep_sample_of_every_row_raises():
-    data, _ = generate_blobs(separated_blobs_spec(3, 10, rng_seed=1))
+    data, _ = separated_blobs(3, 10, 1)
     for size in (data.n, data.n + 1):
         with pytest.raises(ValueError, match="below the dataset size 30"):
             sweep(data, 2, 3, KMeansConfig(rng_seed=0), sample_size=size)
 
 
 def test_sweep_sampled_scoring():
-    data, _ = generate_blobs(separated_blobs_spec(4, 100, rng_seed=8))
+    data, _ = separated_blobs(4, 100, 8)
     full = sweep(data, 2, 6, KMeansConfig(rng_seed=9))
     sampled = sweep(data, 2, 6, KMeansConfig(rng_seed=9), sample_size=120)
     assert sampled.argmax_macro == full.argmax_macro == 4
@@ -70,7 +70,7 @@ def test_sweep_sampled_scoring():
 
 
 def test_sweep_rejects_bad_range():
-    data, _ = generate_blobs(separated_blobs_spec(3, 10, rng_seed=10))
+    data, _ = separated_blobs(3, 10, 10)
     config = KMeansConfig(rng_seed=0)
     with pytest.raises(ValueError):
         sweep(data, 1, 5, config)
@@ -81,14 +81,14 @@ def test_sweep_rejects_bad_range():
 
 
 def test_estimate_inside_range():
-    data, _ = generate_blobs(separated_blobs_spec(3, 30, rng_seed=11))
+    data, _ = separated_blobs(3, 30, 11)
     result = sweep(data, 2, 7, KMeansConfig(rng_seed=12))
     assert 2 <= result.argmax_micro <= 7
     assert 2 <= result.argmax_macro <= 7
 
 
 def test_sse_column_non_increasing():
-    data, _ = generate_blobs(separated_blobs_spec(4, 30, rng_seed=13))
+    data, _ = separated_blobs(4, 30, 13)
     result = sweep(data, 2, 8, KMeansConfig(rng_seed=14))
     sses = [r.sse for r in result.rows]
     assert all(b <= a + 1e-9 for a, b in zip(sses, sses[1:]))

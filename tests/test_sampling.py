@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from silkit import sampling, silhouette
 from silkit.core import Dataset, Labeling, canonicalize_labels
-from silkit.experiments import imbalance_dataset
 from silkit.sampling import (
     balanced_allocation,
     monte_carlo_study,
@@ -16,11 +15,11 @@ from silkit.sampling import (
     tukey_whiskers,
 )
 from silkit.silhouette import full_report
-from silkit.synth import generate_blobs, separated_blobs_spec
+from silkit.synth import imbalance_dataset, separated_blobs
 
 
 def blob_instance(k=4, n=40, seed=0):
-    return generate_blobs(separated_blobs_spec(k, n, rng_seed=seed))
+    return separated_blobs(k, n, seed)
 
 
 def test_uniform_full_size_equals_full_report():

@@ -4,52 +4,50 @@ import pytest
 from silkit.core import Labeling
 from silkit.synth import (
     NUCLEUS_CLUSTER,
-    BlobSpec,
     add_background_noise,
     generate_blobs,
     grow_nucleus,
-    imbalance_demo_spec,
+    imbalance_dataset,
     noise_count,
     randomize_except,
-    separated_blobs_spec,
+    separated_blobs,
 )
 
 
 def test_four_by_200_counts():
-    data, labels = generate_blobs(separated_blobs_spec(4, 200, rng_seed=1))
+    data, labels = separated_blobs(4, 200, 1)
     assert data.n == 800
     assert labels.k == 4
     assert labels.cluster_sizes().tolist() == [200] * 4
 
 
 def test_twelve_by_100_counts():
-    data, labels = generate_blobs(imbalance_demo_spec(100, rng_seed=1))
+    data, labels = imbalance_dataset(100, 100, 1)
     assert data.n == 1200
     assert labels.k == 12
 
 
 def test_tiny_stddev_concentrates():
-    spec = BlobSpec(centers=((3.0, 4.0),), stddevs=(1e-4,), counts=(500,), rng_seed=2)
-    data, _ = generate_blobs(spec)
+    data, _ = generate_blobs(centers=((3.0, 4.0),), stddevs=(1e-4,), counts=(500,), seed=2)
     deviations = np.sqrt(((data.points - [3.0, 4.0]) ** 2).sum(axis=1))
     assert deviations.max() < 6e-4
 
 
 def test_generate_bit_reproducible():
-    a, _ = generate_blobs(imbalance_demo_spec(50, rng_seed=9))
-    b, _ = generate_blobs(imbalance_demo_spec(50, rng_seed=9))
+    a, _ = imbalance_dataset(50, 50, 9)
+    b, _ = imbalance_dataset(50, 50, 9)
     assert np.array_equal(a.points, b.points)
 
 
 def test_grow_zero_is_identity():
-    data, labels = generate_blobs(separated_blobs_spec(3, 10, rng_seed=3))
+    data, labels = separated_blobs(3, 10, 3)
     grown, glabels = grow_nucleus(data, labels, 0, 0, 0.05, np.random.default_rng(0))
     assert grown is data
     assert glabels is labels
 
 
 def test_grow_to_ten_thousand():
-    data, labels = generate_blobs(imbalance_demo_spec(100, rng_seed=4))
+    data, labels = imbalance_dataset(100, 100, 4)
     grown, glabels = grow_nucleus(
         data, labels, NUCLEUS_CLUSTER, 9900, 0.05, np.random.default_rng(1)
     )
@@ -58,13 +56,13 @@ def test_grow_to_ten_thousand():
 
 
 def test_grow_preserves_existing_rows():
-    data, labels = generate_blobs(separated_blobs_spec(3, 10, rng_seed=5))
+    data, labels = separated_blobs(3, 10, 5)
     grown, _ = grow_nucleus(data, labels, 1, 25, 0.05, np.random.default_rng(2))
     assert np.array_equal(grown.points[: data.n], data.points)
 
 
 def test_grow_monotone_imbalance():
-    data, labels = generate_blobs(separated_blobs_spec(3, 10, rng_seed=6))
+    data, labels = separated_blobs(3, 10, 6)
     ratios = []
     for added in (0, 10, 50, 200):
         grown, glabels = grow_nucleus(data, labels, 0, added, 0.05, np.random.default_rng(3))
@@ -74,7 +72,7 @@ def test_grow_monotone_imbalance():
 
 
 def test_grow_unknown_cluster():
-    data, labels = generate_blobs(separated_blobs_spec(3, 10, rng_seed=7))
+    data, labels = separated_blobs(3, 10, 7)
     with pytest.raises(ValueError):
         grow_nucleus(data, labels, 5, 10, 0.05, np.random.default_rng(0))
 
@@ -109,14 +107,14 @@ def test_noise_count_values():
 
 
 def test_noise_zero_identity():
-    data, labels = generate_blobs(separated_blobs_spec(4, 25, rng_seed=8))
+    data, labels = separated_blobs(4, 25, 8)
     noisy = add_background_noise(data, labels, 0.0, 1, 0.10)
     assert noisy.n == data.n
     assert not (noisy.truth_labels == -1).any()
 
 
 def test_noise_marks_rows_and_labels():
-    data, labels = generate_blobs(separated_blobs_spec(4, 50, rng_seed=9))
+    data, labels = separated_blobs(4, 50, 9)
     noisy = add_background_noise(data, labels, 0.25, 2, 0.10)
     n = noise_count(200, 0.25)
     assert noisy.n == 200 + n
@@ -126,7 +124,7 @@ def test_noise_marks_rows_and_labels():
 
 
 def test_noise_fraction_close_to_level():
-    data, labels = generate_blobs(separated_blobs_spec(4, 200, rng_seed=10))
+    data, labels = separated_blobs(4, 200, 10)
     for level in (0.1, 0.25, 0.4):
         noisy = add_background_noise(data, labels, level, 3, 0.10)
         total = noisy.n
@@ -135,7 +133,7 @@ def test_noise_fraction_close_to_level():
 
 
 def test_noise_default_box_pads_bounding_box():
-    data, labels = generate_blobs(separated_blobs_spec(2, 50, rng_seed=12))
+    data, labels = separated_blobs(2, 50, 12)
     noisy = add_background_noise(data, labels, 0.5, 5, 0.10)
     lo, hi = data.points.min(0), data.points.max(0)
     span = hi - lo
@@ -145,7 +143,7 @@ def test_noise_default_box_pads_bounding_box():
 
 
 def test_noise_level_validation():
-    data, labels = generate_blobs(separated_blobs_spec(2, 10, rng_seed=1))
+    data, labels = separated_blobs(2, 10, 1)
     for level in (1.0, -0.1):
         with pytest.raises(ValueError, match="noise level must be in"):
             add_background_noise(data, labels, level, 0, 0.10)
@@ -153,8 +151,8 @@ def test_noise_level_validation():
 
 def test_blob_spec_validation():
     with pytest.raises(ValueError):
-        BlobSpec(centers=((0.0,),), stddevs=(1.0, 2.0), counts=(5,))
+        generate_blobs(centers=((0.0,),), stddevs=(1.0, 2.0), counts=(5,))
     with pytest.raises(ValueError):
-        BlobSpec(centers=((0.0,),), stddevs=(0.0,), counts=(5,))
+        generate_blobs(centers=((0.0,),), stddevs=(0.0,), counts=(5,))
     with pytest.raises(ValueError):
-        BlobSpec(centers=((0.0,), (1.0, 2.0)), stddevs=(1.0, 1.0), counts=(5, 5))
+        generate_blobs(centers=((0.0,), (1.0, 2.0)), stddevs=(1.0, 1.0), counts=(5, 5))

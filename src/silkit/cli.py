@@ -37,6 +37,7 @@ from .silhouette import full_report
 from .synth import add_background_noise, imbalance_dataset, separated_blobs
 
 PROFILES = ("even", "varied")
+NOISE_PAD = 0.10  # gen's default noise box padding per side
 
 # parsed arguments that do not shape a command's results: dispatch, output
 # paths, the thread count and the output format; --schema is recorded only
@@ -114,7 +115,11 @@ def cmd_gen(args) -> int:
         raise ValueError(f"--nucleus-extra must be at least 0, got {args.nucleus_extra}")
     if not 0 <= args.noise_pct < 100:
         raise ValueError(f"--noise-pct must be in [0, 100), got {args.noise_pct}")
-    varied = args.profile == "varied" or args.nucleus_extra > 0
+    if args.profile is None:
+        args.profile = "varied" if args.nucleus_extra > 0 else "even"
+    elif args.profile == "even" and args.nucleus_extra > 0:
+        raise ValueError("--nucleus-extra grows the varied layout's nucleus; it cannot go with --profile even")
+    varied = args.profile == "varied"
     if varied and args.stddev is not None:
         raise ValueError("--stddev sets the even profile only; the varied layout fixes its own stddevs")
     if args.stddev is None:
@@ -127,13 +132,28 @@ def cmd_gen(args) -> int:
             )
     else:
         data, labels = separated_blobs(args.k, args.n, args.seed, stddev=args.stddev)
-    data = add_background_noise(data, labels, args.noise_pct / 100.0, args.seed + 2, args.noise_pad)
+    pad = NOISE_PAD if args.noise_pad is None else args.noise_pad
+    data = add_background_noise(data, labels, args.noise_pct / 100.0, args.seed + 2, pad)
+    # after add_background_noise, so a bad pad value is named first
+    if args.noise_pct == 0 and args.noise_pad is not None:
+        raise ValueError("--noise-pad sizes the noise box, so it needs --noise-pct above 0")
+    args.noise_pad = pad  # the default, recorded at every noise level
     write_dataset_csv(args.output, data, header_lines=_config(args))
     print(f"wrote {data.n} rows to {args.output}")
     return 0
 
 
+def _resolve_strategy(args) -> None:
+    """--strategy shapes only a sampled scoring: without --sample it is an
+    error; unset, it takes the default, which is recorded either way."""
+    if args.strategy is None:
+        args.strategy = "balanced"
+    elif args.sample is None:
+        raise ValueError("--strategy picks how --sample draws, so it needs --sample")
+
+
 def cmd_score(args) -> int:
+    _resolve_strategy(args)
     data = _load_dataset(args)
     labels = _load_labels(args, data)
     payload = {"config": _config(args)}
@@ -169,6 +189,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _resolve_strategy(args)
     data = _load_dataset(args)
     config_obj = KMeansConfig(rng_seed=args.seed, n_candidates=args.candidates)
     result = sweep(
@@ -197,6 +218,10 @@ def cmd_nucleus_study(args) -> int:
 
 
 def cmd_noise_study(args) -> int:
+    if args.noise_pad is None:
+        args.noise_pad = NOISE_STUDY_PAD  # the default, recorded at every level
+    elif not any(args.levels):
+        raise ValueError("--noise-pad sizes the noise box, so it needs a level above 0")
     rows = noise_study(
         args.levels,
         k_min=args.k_min,
@@ -266,12 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     blobs.add_argument(
         "--profile",
         choices=PROFILES,
-        default="even",
         help="even: equal blobs on a ring; varied: the 12-cluster imbalance demo",
     )
     blobs.add_argument("--nucleus-extra", type=int, default=0, help="points added to the nucleus cluster (implies --profile varied)")
     blobs.add_argument("--noise-pct", type=float, default=0.0, help="background noise level in percent")
-    blobs.add_argument("--noise-pad", type=float, default=0.10, help="noise box padding per side (fraction of span)")
+    blobs.add_argument("--noise-pad", type=float, help="noise box padding per side (fraction of span)")
     blobs.add_argument("--stddev", type=float, help="blob stddev for the even profile")
     blobs.set_defaults(func=cmd_gen)
 
@@ -280,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     score.add_argument("--labels", help="optional label file overriding the CSV label column")
     score.add_argument("--sample", type=int, help="score a subsample of this size")
-    score.add_argument("--strategy", choices=STRATEGIES, default="balanced")
+    score.add_argument("--strategy", choices=STRATEGIES)
     score.set_defaults(func=cmd_score)
 
     cluster = sub.add_parser("cluster", parents=[common, dataset], help="global k-means++ clustering")
@@ -294,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--k-min", type=int, default=2)
     sweep_p.add_argument("--k-max", type=int, default=30)
     sweep_p.add_argument("--sample", type=int, help="balanced-sample size for scoring each k")
-    sweep_p.add_argument("--strategy", choices=STRATEGIES, default="balanced")
+    sweep_p.add_argument("--strategy", choices=STRATEGIES)
     sweep_p.add_argument("--candidates", type=int, default=10)
     sweep_p.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep_p.set_defaults(func=cmd_sweep)
@@ -312,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     noise.add_argument("--k-min", type=int, default=2)
     noise.add_argument("--k-max", type=int, default=30)
     noise.add_argument("--cluster-seed", type=int, default=5)
-    noise.add_argument("--noise-pad", type=float, default=NOISE_STUDY_PAD)
+    noise.add_argument("--noise-pad", type=float)
     noise.set_defaults(func=cmd_noise_study)
 
     samples = sub.add_parser(

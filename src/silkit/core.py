@@ -160,16 +160,10 @@ def _parallel_map(fn, items, threads: int | None) -> list:
 
 def canonicalize_labels(raw) -> Labeling:
     """Remap arbitrary integer ids to 0..k-1 in first-occurrence order."""
-    return _canonicalize_with_ids(raw)[0]
-
-
-def _canonicalize_with_ids(raw) -> tuple[Labeling, np.ndarray]:
-    """``canonicalize_labels`` plus the id map: new id c was raw id ids[c]."""
     arr = np.asarray(raw, dtype=np.int64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("raw labels must be a non-empty 1-D sequence")
     ids, first_pos, inverse = np.unique(arr, return_index=True, return_inverse=True)
     order = np.argsort(first_pos, kind="stable")
     new_id = np.argsort(order, kind="stable")
-    return Labeling(new_id[inverse], k=len(ids)), ids[order]
-
+    return Labeling(new_id[inverse], k=len(ids))

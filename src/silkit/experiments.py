@@ -15,7 +15,7 @@ import numpy as np
 from .clustering import KMeansConfig
 from .core import _parallel_map
 from .kselect import sweep
-from .sampling import MonteCarloCell, monte_carlo_study
+from .sampling import SampleStudyResult, monte_carlo_study
 from .silhouette import full_report
 from .synth import (
     NUCLEUS_CLUSTER,
@@ -30,7 +30,6 @@ __all__ = [
     "nucleus_study",
     "NoiseStudyRow",
     "noise_study",
-    "SampleStudyResult",
     "sample_study",
 ]
 
@@ -134,12 +133,6 @@ def noise_study(
     return _parallel_map(one, enumerate(levels_pct), threads)
 
 
-@dataclass(frozen=True)
-class SampleStudyResult:
-    cells: list[MonteCarloCell]
-    full_score: float
-
-
 def sample_study(
     sizes=(50, 100, 200, 400, 800),
     runs: int = 30,
@@ -153,9 +146,7 @@ def sample_study(
     """Monte Carlo comparison of uniform vs cluster-balanced sampling on
     the imbalance demo dataset, against the full-dataset score."""
     data, labels = imbalance_dataset(nucleus_total, seed=seed)
-    report = full_report(data, labels, threads)
-    full_score = report.macro if statistic == "macro" else report.micro
-    cells = monte_carlo_study(
+    return monte_carlo_study(
         data,
         labels,
         sizes,
@@ -164,5 +155,3 @@ def sample_study(
         statistic=statistic,
         threads=threads,
     )
-    return SampleStudyResult(cells=cells, full_score=float(full_score))
-

@@ -58,14 +58,14 @@ def sweep(
     macro is the subsample's macro and micro re-weights the cluster means by
     full cluster sizes. Each k draws its own subsample with seed
     ``config.rng_seed + k``. A sample of N or more points is an error,
-    not a silent full scoring.
+    not a silent full scoring; the size is checked before any clustering.
     """
     if not 2 <= k_min <= k_max <= data.n - 1:
         raise ValueError(f"need 2 <= k_min <= k_max <= N-1, got [{k_min}, {k_max}] with N={data.n}")
-    if sample_size is not None and sample_size >= data.n:
+    if sample_size is not None and not 2 <= sample_size < data.n:
         raise ValueError(
-            f"sample size must be below the dataset size {data.n} (omit it to score in full), "
-            f"got {sample_size}"
+            f"sample size must be in [2, {data.n - 1}], below the dataset size {data.n} "
+            f"(omit it to score in full), got {sample_size}"
         )
     solutions = global_kmeanspp(data, k_max, config)
 

@@ -7,18 +7,20 @@ than the quota contribute all their members and the leftover budget goes,
 one index at a time, to whichever cluster has the most unsampled points
 (ties to the smaller cluster id).
 
-A sampled silhouette report drops clusters that are absent from the sample.
-When fewer than two clusters survive, the result is marked undefined rather
-than raising: on heavily imbalanced data a small uniform sample regularly
-lands inside a single cluster, and the study commands record that outcome.
+A sampled report drops clusters absent from the sample and lists the rest
+in first-occurrence order, as ``full_report`` of the subsample would. When
+fewer than two clusters survive, the result is marked undefined rather than
+raising: on heavily imbalanced data a small uniform sample regularly lands
+inside a single cluster, and the study commands record that outcome.
 
-``monte_carlo_study`` scores the runs of one sample size L in groups of
-g = ``BLOCK_ROWS // L`` (at least 1), so a group's g x L rows fit in one
-kernel block. The group's runs share column slabs, each as wide as the
-largest count of its cluster among them; a run with fewer members of a
-cluster gets pad columns that add an exact 0.0 to its sums, so every run's
-score has the bits ``sample_and_score`` gives it. Balanced runs of a size
-all have the same counts and need no pads.
+``_score_draws`` scores every draw: draws of one size L in one
+``_score_runs`` call over the full labeling's cluster ids, each aggregated
+by ``silhouette._report``. ``sample_and_score`` passes one draw;
+``monte_carlo_study`` passes groups of g = ``BLOCK_ROWS // L`` (at least
+1), whose g x L rows fit in one kernel block, and scores the full dataset
+once for the reference. A group's runs share column slabs as wide as the
+largest count of each cluster among them; a run's pad columns add an exact
+0.0, so every score has the bits of its draw scored alone.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Labeling, _canonicalize_with_ids, _parallel_map
-from .silhouette import BLOCK_ROWS, SilhouetteReport, _score_runs, full_report
+from .core import Dataset, Labeling, _parallel_map
+from .silhouette import BLOCK_ROWS, SilhouetteReport, _report, _score_runs, full_report
 
 __all__ = [
     "SampleResult",
     "sample_and_score",
     "MonteCarloCell",
+    "SampleStudyResult",
     "monte_carlo_study",
     "tukey_whiskers",
 ]
@@ -114,6 +117,29 @@ def _draw(n: int, size: int, seed: int, quotas: list[tuple[np.ndarray, int]] | N
     return np.sort(indices)
 
 
+def _score_draws(
+    data: Dataset, labels: Labeling, draws: list[np.ndarray]
+) -> list[tuple[SilhouetteReport, float] | None]:
+    """Score draws of one size in one ``_score_runs`` call: per draw, its
+    report, with its clusters in first-occurrence order, and their means
+    re-weighted by full cluster sizes (``SampleResult.micro_weighted``);
+    None when fewer than two clusters survive the draw."""
+    own, sizes = labels.assignments, labels.cluster_sizes()
+    scored = [None] * len(draws)
+    defined = [j for j, rows in enumerate(draws) if (own[rows] != own[rows[0]]).any()]
+    if not defined:
+        return scored
+    rows = np.stack([draws[j] for j in defined])
+    sub_raws = own[rows]
+    per_point, counts = _score_runs(data.points[rows], sub_raws, labels.k)
+    for j, sub_raw, run_scores, run_counts in zip(defined, sub_raws, per_point, counts):
+        _, first = np.unique(sub_raw, return_index=True)
+        ids = sub_raw[np.sort(first)]
+        report = _report(run_scores, sub_raw, run_counts, ids)
+        scored[j] = (report, float((report.per_cluster * sizes[ids]).sum() / sizes[ids].sum()))
+    return scored
+
+
 def sample_and_score(
     data: Dataset, labels: Labeling, strategy: str, size: int, seed: int
 ) -> SampleResult:
@@ -125,18 +151,9 @@ def sample_and_score(
     sizes = labels.cluster_sizes()
     quotas = _quotas(_members(labels), sizes, size) if strategy == "balanced" else None
     indices = _draw(data.n, size, seed, quotas)
-    sub_raw = labels.assignments[indices]
-    drawn = np.bincount(sub_raw, minlength=labels.k)
-    surviving = np.flatnonzero(drawn > 0)
-    if len(surviving) < 2:
-        return SampleResult(indices, drawn, surviving, None, None)
-    sub_labels, ids = _canonicalize_with_ids(sub_raw)
-    report = full_report(Dataset(data.points[indices]), sub_labels)
-    return SampleResult(indices, drawn, surviving, report, _micro_weighted(report.per_cluster, sizes[ids]))
-
-
-def _micro_weighted(per_cluster: np.ndarray, full_sizes: np.ndarray) -> float:
-    return float((per_cluster * full_sizes).sum() / full_sizes.sum())
+    drawn = np.bincount(labels.assignments[indices], minlength=labels.k)
+    report, micro_weighted = _score_draws(data, labels, [indices])[0] or (None, None)
+    return SampleResult(indices, drawn, np.flatnonzero(drawn > 0), report, micro_weighted)
 
 
 def tukey_whiskers(values: np.ndarray) -> tuple[float, float]:
@@ -165,6 +182,12 @@ class MonteCarloCell:
         return self.whisker_high - self.whisker_low
 
 
+@dataclass(frozen=True)
+class SampleStudyResult:
+    cells: list[MonteCarloCell]
+    full_score: float
+
+
 def monte_carlo_study(
     data: Dataset,
     labels: Labeling,
@@ -174,8 +197,9 @@ def monte_carlo_study(
     seed_base: int = 0,
     statistic: str = "macro",
     threads: int | None = None,
-) -> list[MonteCarloCell]:
-    """Repeated sampled scorings over a grid of sample sizes.
+) -> SampleStudyResult:
+    """Repeated sampled scorings over a grid of sample sizes, and the
+    full-data score they estimate (``statistic`` of ``full_report``).
 
     Run r of every cell uses seed ``seed_base + r``, so results do not
     depend on scheduling; undefined runs are excluded from the median and
@@ -185,7 +209,6 @@ def monte_carlo_study(
         raise ValueError("runs must be >= 1")
     if statistic not in ("macro", "micro"):
         raise ValueError(f"unknown statistic: {statistic}")
-    own, k = labels.assignments, labels.k
     full_sizes, members = labels.cluster_sizes(), _members(labels)
     # each task draws and scores up to g runs of one cell, g x size rows
     # within one block
@@ -200,26 +223,14 @@ def monte_carlo_study(
     def score_group(task) -> list[float]:
         size, quotas, group = task
         draws = [_draw(data.n, size, seed_base + run, quotas) for run in group]
-        scores = [float("nan")] * len(draws)
-        # a run needs two surviving clusters to be defined
-        defined = [j for j, rows in enumerate(draws) if (own[rows] != own[rows[0]]).any()]
-        if not defined:
-            return scores
-        rows = np.stack([draws[j] for j in defined])
-        sub_raws = own[rows]
-        per_point, counts = _score_runs(data.points[rows], sub_raws, k)
-        for j, sub_raw, run_scores, run_counts in zip(defined, sub_raws, per_point, counts):
-            # the run's clusters in first-occurrence order, as sample_and_score's report has them
-            _, first = np.unique(sub_raw, return_index=True)
-            ids = sub_raw[np.sort(first)]
-            per_cluster = np.bincount(sub_raw, weights=run_scores, minlength=k)[ids] / run_counts[ids]
-            if statistic == "macro":
-                scores[j] = float(per_cluster.mean())
-            else:
-                # cluster means re-weighted by full sizes: valid under either strategy
-                scores[j] = _micro_weighted(per_cluster, full_sizes[ids])
-        return scores
+        # micro re-weights the cluster means by full sizes: valid under either strategy
+        return [
+            float("nan") if scored is None else scored[0].macro if statistic == "macro" else scored[1]
+            for scored in _score_draws(data, labels, draws)
+        ]
 
+    report = full_report(data, labels, threads)
+    full_score = report.macro if statistic == "macro" else report.micro
     flat = [score for scores in _parallel_map(score_group, tasks, threads) for score in scores]
 
     cells = []
@@ -245,4 +256,4 @@ def monte_carlo_study(
                     undefined_runs=int(np.isnan(scores).sum()),
                 )
             )
-    return cells
+    return SampleStudyResult(cells, full_score)

@@ -11,11 +11,12 @@ Conventions (degenerate cases):
   * fewer than two clusters: the score does not exist and
     SilhouetteUndefinedError is raised.
 
-One kernel scores every labeling: ``_score_runs`` takes g runs of n points
-(with their own labels) and scores them at once. ``full_report`` is its
-one-run case; the sampling study passes groups of equally sized samples,
-whose columns are padded to common slab widths with pads that add an exact
-0.0, and whose absent clusters have an infinite mean distance.
+One kernel scores every labeling: ``_score_runs`` scores g runs of n points
+(with their own labels) at once, and ``_report`` aggregates one run.
+``full_report`` is the one-run case; sampled scoring passes groups of
+equally sized samples, whose columns are padded to common slab widths with
+pads that add an exact 0.0, and whose absent clusters have an infinite
+mean distance and no entry in the report.
 """
 
 from __future__ import annotations
@@ -186,6 +187,20 @@ def _score_runs(
     return per_point, counts
 
 
+def _report(per_point: np.ndarray, own: np.ndarray, counts: np.ndarray, ids: np.ndarray) -> SilhouetteReport:
+    """One run's report from its ``_score_runs`` scores, cluster ids and
+    counts: the per-cluster means of the clusters ``ids``, in that order
+    (clusters absent from the run have count 0 and add no singletons)."""
+    per_cluster = np.bincount(own, weights=per_point, minlength=len(counts))[ids] / counts[ids]
+    return SilhouetteReport(
+        per_point=per_point,
+        per_cluster=per_cluster,
+        micro=float(per_point.mean()),
+        macro=float(per_cluster.mean()),
+        singleton_count=int(counts[counts < 2].sum()),
+    )
+
+
 def full_report(data: Dataset, labels: Labeling, threads: int | None = None) -> SilhouetteReport:
     """Complete silhouette report for a labeled dataset: ``_score_runs``
     with one run of every point, which needs no pad columns. With
@@ -198,15 +213,4 @@ def full_report(data: Dataset, labels: Labeling, threads: int | None = None) -> 
         raise SilhouetteUndefinedError("silhouette requires at least two clusters")
     own, k = labels.assignments, labels.k
     per_point, counts = _score_runs(data.points[None], own[None], k, threads)
-    per_point, counts = per_point[0], counts[0]
-
-    sums = np.bincount(own, weights=per_point, minlength=k)
-    per_cluster = sums / counts
-    singleton_count = int(counts[counts < 2].sum())
-    return SilhouetteReport(
-        per_point=per_point,
-        per_cluster=per_cluster,
-        micro=float(per_point.mean()),
-        macro=float(per_cluster.mean()),
-        singleton_count=singleton_count,
-    )
+    return _report(per_point[0], own, counts[0], np.arange(k))

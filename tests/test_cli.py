@@ -268,7 +268,7 @@ LEAF_COMMANDS = [
     ["cluster", "--data", "{data}", "--k", "2"],
     ["sweep", "--data", "{data}", "--k-max", "3"],
     ["nucleus-study", "--sizes", "100", "--threads", "1"],
-    ["noise-study", "--levels", "0", "--k-max", "3", "--threads", "1"],
+    ["noise-study", "--levels", "0", "--k-max", "5", "--threads", "1"],
     ["sample-study", "--sizes", "20", "--runs", "2", "--nucleus", "100", "--threads", "1",
      "--summary", "{summary}"],
 ]
@@ -421,6 +421,13 @@ def test_study_reruns_byte_identical_across_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+SAMPLE_SIZE_ERRORS = {
+    "score": "error: sample size must be in [2, 120] (the dataset size), got {}",
+    "sweep": "error: sample size must be in [2, 119], below the dataset size 120 "
+    "(omit it to score in full), got {}",
+}
+
+
 @pytest.mark.parametrize(
     "command, size",
     [("score", "0"), ("score", "1"), ("score", "121"), ("sweep", "0"), ("sweep", "1")],
@@ -431,7 +438,7 @@ def test_sample_size_out_of_range_is_one_line_error(tmp_path, capsys, command, s
     capsys.readouterr()
     out = tmp_path / "out.json"
     assert run([command, "--data", str(data), "--sample", size, "-o", str(out)]) == 1
-    assert _one_error_line(capsys) == f"error: sample size must be in [2, 120] (the dataset size), got {size}"
+    assert _one_error_line(capsys) == SAMPLE_SIZE_ERRORS[command].format(size)
     assert not out.exists()
 
 
@@ -443,9 +450,7 @@ def test_sweep_sample_of_row_count_is_one_line_error(tmp_path, capsys, size):
     capsys.readouterr()
     out = tmp_path / "sweep.csv"
     assert run(["sweep", "--data", str(data), "--k-max", "4", "--sample", size, "-o", str(out)]) == 1
-    assert _one_error_line(capsys) == (
-        f"error: sample size must be below the dataset size 120 (omit it to score in full), got {size}"
-    )
+    assert _one_error_line(capsys) == SAMPLE_SIZE_ERRORS["sweep"].format(size)
     assert not out.exists()
 
 
@@ -546,7 +551,8 @@ def test_table_level_schema_error_names_the_file(tmp_path, capsys, kinds, fault)
 # Every command on small inputs, with relative paths so the recorded configs
 # do not depend on the working directory. The digests are those of the
 # outputs written before the config recorder and row writer were shared;
-# only the three --schema outputs changed since, by their "schema" entry.
+# only the three --schema outputs changed since, by their "schema" entry,
+# and nucleus.csv, whose --nucleus-extra run records profile=varied.
 GOLDEN_RUNS = [
     ["gen", "blobs", "--k", "3", "--n", "40", "--seed", "1", "-o", "even.csv"],
     ["gen", "blobs", "--k", "3", "--n", "40", "--noise-pct", "20", "--seed", "2", "-o", "noisy.csv"],
@@ -578,7 +584,7 @@ GOLDEN_DIGESTS = {
     "even.csv": "cd9945a341613f55cf6727368efad7de18b7a65a93811d4e0a59d3c70ef4aca6",
     "noise_study.csv": "f922d1d7202ae4265ab8a386b167081514fc344b112dd18f9314619a98123a63",
     "noisy.csv": "4e0b194642d0e4a295a8aa4d649466740919527a1c06f357fd036e0af22c14b5",
-    "nucleus.csv": "0d5ca4340743f486873e9d7f317161515c1ac9015c2a2b8616b837a234e4f9b1",
+    "nucleus.csv": "8de51717da639e85fc193c6c75d7f00b9fa0aab4fbb00a4756fe63c9e69e5d68",
     "nucleus_study.csv": "cc74745bb5fe064ae1de3d31fa47599ed12b7712505349d0bc0285190135b3ca",
     "prepared.csv": "5a7047f89acb6dc0a8f6f3e981482cd2b93d4bd62be9f8dca78e525f9f812513",
     "sample_runs.csv": "1d96340c4f67eacee1b811eb18ecf85d790a145e62c67bc423a820dc29782e42",
@@ -635,3 +641,131 @@ def test_leaf_help_is_pinned(capsys, monkeypatch, command):
         run(command.split() + ["--help"])
     assert exit_info.value.code == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
+# Every recorded key shapes the output: for each leaf command, each recorded
+# key is changed to another valid value, and the run must either write other
+# rows or fail with one error line. The table gives each key's other value.
+OTHER_VALUES = {
+    "gen": {
+        "k": "3", "n": "11", "profile": "varied", "nucleus-extra": "3", "noise-pct": "10",
+        "noise-pad": "0.5", "stddev": "2", "seed": "1",
+    },
+    "score": {"data": "{other}", "labels": "{labels}", "sample": "20", "strategy": "uniform"},
+    "cluster": {"data": "{other}", "k": "3", "candidates": "1", "seed": "1"},
+    "sweep": {
+        "data": "{other}", "k-min": "3", "k-max": "4", "sample": "20", "strategy": "uniform",
+        "candidates": "1", "seed": "1",
+    },
+    "nucleus-study": {"sizes": "200", "seed": "1"},
+    "noise-study": {
+        "levels": "10", "k-min": "5", "k-max": "3", "noise-pad": "0.5",
+    },
+    "sample-study": {
+        "sizes": "30", "runs": "3", "nucleus": "150", "statistic": "micro",
+        "sample-seed-base": "1", "seed": "1",
+    },
+}
+# recorded keys that no other value of theirs can change, and why
+EXEMPT_KEYS = {
+    "version": "the package version, which no argument sets",
+    "command": "the command itself; each command is one entry of LEAF_COMMANDS",
+    "argmax-micro": "a result of the sweep, recorded beside its arguments",
+    "argmax-macro": "a result of the sweep, recorded beside its arguments",
+    "full-score": "a result of the study, recorded beside its arguments",
+}
+EXEMPT_COMMAND_KEYS = {
+    # the score-nucleus benchmark gate reads config.seed from an unsampled
+    # score, and SIL_SEED applies to every command, so --seed stays accepted
+    ("score", "seed"): "an unsampled score draws nothing; its --seed is only recorded",
+    # both seeds shape the blobs, the noise and the clusterings, but a row
+    # holds only the argmax k of each aggregation, which is meant to be
+    # stable under those draws
+    ("noise-study", "seed"): "the rows are k estimates, robust to the blob and noise draws",
+    ("noise-study", "cluster-seed"): "the rows are k estimates, robust to the clustering draws",
+}
+
+
+def _rows(path: Path):
+    """The output without its recorded config: JSON minus "config", or the
+    CSV lines that are not "# key=value" lines."""
+    if path.suffix == ".json":
+        payload = json.loads(path.read_text())
+        payload.pop("config")
+        return payload
+    return [line for line in path.read_text().splitlines() if not line.startswith("# ")]
+
+
+def _with_value(argv: list[str], key: str, value: str) -> list[str]:
+    flag = f"--{key}"
+    if flag in argv:
+        at = argv.index(flag) + 1
+        return argv[:at] + [value] + argv[at + 1 :]
+    return argv + [flag, value]
+
+
+@pytest.mark.parametrize("argv", LEAF_COMMANDS, ids=[argv[0] for argv in LEAF_COMMANDS])
+def test_every_recorded_key_shapes_the_output(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.delenv("SIL_SEED", raising=False)
+    # eight equal blobs on a ring: 2-means has four near-equal splits, and
+    # the clustering seed and candidate count pick among them
+    data, other = tmp_path / "data.csv", tmp_path / "other.csv"
+    run(["gen", "blobs", "--k", "8", "--n", "10", "-o", str(data)])
+    run(["gen", "blobs", "--k", "8", "--n", "10", "--seed", "1", "-o", str(other)])
+    labels = tmp_path / "labels.txt"
+    n = len(_rows(data)) - 1
+    labels.write_text("".join(f"{i % 3}\n" for i in range(n)))
+    fill = {"data": data, "other": other, "labels": labels, "summary": tmp_path / "summary.csv"}
+    command = argv[0]
+    out = tmp_path / ("out.json" if command in ("score", "cluster") else "out.csv")
+    base = [a.format(**fill) for a in argv] + ["-o", str(out)]
+    assert run(base) == 0
+    expected = _rows(out)
+    recorded = set(_recorded_config(out))
+    others = OTHER_VALUES[command]
+    exempt = set(EXEMPT_KEYS) | {key for cmd, key in EXEMPT_COMMAND_KEYS if cmd == command}
+    assert recorded - exempt == set(others)
+    capsys.readouterr()
+    for key, value in others.items():
+        out.unlink(missing_ok=True)
+        code = run(_with_value(base, key, value.format(**fill)))
+        if code == 0:
+            assert _rows(out) != expected, f"--{key} {value} changed nothing"
+        else:
+            assert code == 1 and _one_error_line(capsys), key
+            assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["score", "--data", "{data}", "--strategy", "uniform"],
+         "--strategy picks how --sample draws, so it needs --sample"),
+        (["sweep", "--data", "{data}", "--k-max", "3", "--strategy", "balanced"],
+         "--strategy picks how --sample draws, so it needs --sample"),
+        (["gen", "blobs", "--k", "2", "--n", "5", "--noise-pad", "0.5"],
+         "--noise-pad sizes the noise box, so it needs --noise-pct above 0"),
+        (["noise-study", "--levels", "0", "--k-max", "3", "--threads", "1", "--noise-pad", "0.5"],
+         "--noise-pad sizes the noise box, so it needs a level above 0"),
+        (["gen", "blobs", "--k", "12", "--n", "5", "--profile", "even", "--nucleus-extra", "3"],
+         "--nucleus-extra grows the varied layout's nucleus; it cannot go with --profile even"),
+    ],
+    ids=["score-strategy", "sweep-strategy", "gen-noise-pad", "noise-study-noise-pad", "gen-profile"],
+)
+def test_argument_that_shapes_nothing_is_one_line_error(tmp_path, capsys, argv, message):
+    data = tmp_path / "data.csv"
+    run(["gen", "blobs", "--k", "2", "--n", "15", "-o", str(data)])
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    assert run([a.format(data=data) for a in argv] + ["-o", str(out)]) == 1
+    assert _one_error_line(capsys) == f"error: {message}"
+    assert not out.exists()
+
+
+def test_gen_nucleus_extra_records_the_varied_profile(tmp_path):
+    implied, explicit = tmp_path / "implied.csv", tmp_path / "explicit.csv"
+    argv = ["gen", "blobs", "--k", "12", "--n", "5", "--nucleus-extra", "3"]
+    assert run(argv + ["-o", str(implied)]) == 0
+    assert run(argv + ["--profile", "varied", "-o", str(explicit)]) == 0
+    assert "# profile=varied\n" in implied.read_text()
+    assert implied.read_bytes() == explicit.read_bytes()

@@ -4,7 +4,6 @@ import pytest
 from silkit.core import (
     Dataset,
     Labeling,
-    _canonicalize_with_ids,
     _sq_distances,
     _unbuffered,
     canonicalize_labels,
@@ -98,12 +97,6 @@ def test_canonicalize_remaps_by_first_occurrence():
     lab = canonicalize_labels([5, 5, 2, 9])
     assert lab.assignments.tolist() == [0, 0, 1, 2]
     assert lab.k == 3
-
-
-def test_canonicalize_id_map():
-    lab, ids = _canonicalize_with_ids([5, 5, 2, 9, 2])
-    assert lab.assignments.tolist() == [0, 0, 1, 2, 1]
-    assert ids.tolist() == [5, 2, 9]
 
 
 def test_canonicalize_already_canonical():

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from silkit import kselect
 from silkit.clustering import KMeansConfig
 from silkit.core import Dataset
 from silkit.kselect import SweepResult, SweepRow, sweep
@@ -55,6 +58,14 @@ def test_sweep_sample_of_every_row_raises():
     data, _ = separated_blobs(3, 10, 1)
     for size in (data.n, data.n + 1):
         with pytest.raises(ValueError, match="below the dataset size 30"):
+            sweep(data, 2, 3, KMeansConfig(rng_seed=0), sample_size=size)
+
+
+@pytest.mark.parametrize("size", [0, 1, 30, 31])
+def test_sweep_checks_sample_size_before_clustering(size):
+    data, _ = separated_blobs(3, 10, 1)
+    with mock.patch.object(kselect, "global_kmeanspp", side_effect=AssertionError("clustered")):
+        with pytest.raises(ValueError, match=r"sample size must be in \[2, 29\], below the dataset size 30"):
             sweep(data, 2, 3, KMeansConfig(rng_seed=0), sample_size=size)
 
 

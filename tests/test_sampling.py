@@ -168,7 +168,7 @@ def test_tukey_whiskers_plain():
 
 def test_monte_carlo_full_size_zero_spread():
     data, labels = blob_instance(k=3, n=20)
-    cells = monte_carlo_study(data, labels, [data.n], runs=5, seed_base=0)
+    cells = monte_carlo_study(data, labels, [data.n], runs=5, seed_base=0).cells
     full = full_report(data, labels)
     for cell in cells:
         assert cell.whisker_range == 0.0
@@ -184,7 +184,7 @@ def test_monte_carlo_balanced_tighter_than_uniform():
     )[:, None]
     data = Dataset(pts)
     labels = Labeling(np.repeat([0, 1, 2], [400, 50, 50]), k=3)
-    cells = monte_carlo_study(data, labels, [30, 60], runs=20, seed_base=3)
+    cells = monte_carlo_study(data, labels, [30, 60], runs=20, seed_base=3).cells
     by_key = {(c.size, c.strategy): c for c in cells}
     for size in (30, 60):
         assert (
@@ -195,8 +195,8 @@ def test_monte_carlo_balanced_tighter_than_uniform():
 
 def test_monte_carlo_thread_invariance():
     data, labels = blob_instance(k=3, n=30)
-    serial = monte_carlo_study(data, labels, [12, 24], runs=6, seed_base=1, threads=1)
-    threaded = monte_carlo_study(data, labels, [12, 24], runs=6, seed_base=1, threads=4)
+    serial = monte_carlo_study(data, labels, [12, 24], runs=6, seed_base=1, threads=1).cells
+    threaded = monte_carlo_study(data, labels, [12, 24], runs=6, seed_base=1, threads=4).cells
     for a, b in zip(serial, threaded):
         assert np.array_equal(a.scores, b.scores, equal_nan=True)
         assert a.median == b.median
@@ -254,7 +254,7 @@ def test_monte_carlo_cells_bit_equal_to_single_runs(
     ):
         cells = monte_carlo_study(
             data, labels, sizes, runs, seed_base=seed, statistic=statistic, threads=threads
-        )
+        ).cells
         for cell in cells:
             expected = _one_at_a_time(data, labels, cell, runs, seed, statistic)
             assert cell.scores.tobytes() == expected.tobytes()
@@ -266,7 +266,7 @@ def test_monte_carlo_cells_past_one_block_bit_equal_to_single_runs():
     # in row blocks; uniform runs at L=3 on the imbalance set go undefined
     data, labels = imbalance_dataset(1000, seed=2)
     sizes, runs = [3, 1100], 3
-    cells = monte_carlo_study(data, labels, sizes, runs, seed_base=4, statistic="micro", threads=2)
+    cells = monte_carlo_study(data, labels, sizes, runs, seed_base=4, statistic="micro", threads=2).cells
     for cell in cells:
         expected = _one_at_a_time(data, labels, cell, runs, 4, "micro")
         assert cell.scores.tobytes() == expected.tobytes()
@@ -295,3 +295,41 @@ def test_monte_carlo_cell_memory_within_one_report():
     for size in (800, 50):
         cell = _peak_bytes(lambda: monte_carlo_study(data, labels, [size], runs=30, seed_base=1))
         assert cell <= 1.25 * single, (size, cell, single)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    cluster_sizes=st.lists(st.integers(1, 40), min_size=2, max_size=5),
+    d=st.integers(1, 3),
+    size=st.integers(2, 200),
+    strategy=st.sampled_from(sampling.STRATEGIES),
+    block_rows=st.sampled_from([4, 16, 1024]),
+)
+def test_sample_and_score_equals_full_report_of_the_subsample(
+    seed, cluster_sizes, d, size, strategy, block_rows
+):
+    # sample_and_score scores the draw in place over the full labeling's
+    # cluster ids; its report must be the one of the subsample scored as a
+    # dataset of its own. Singleton clusters, duplicate points (integer
+    # coordinates), undefined draws and L > BLOCK_ROWS all occur.
+    rng = np.random.default_rng(seed)
+    n = sum(cluster_sizes)
+    data = Dataset(rng.integers(-3, 4, size=(n, d)).astype(np.float64))
+    own = rng.permutation(np.repeat(np.arange(len(cluster_sizes)), cluster_sizes))
+    labels = Labeling(own, k=len(cluster_sizes))
+    with mock.patch.object(silhouette, "BLOCK_ROWS", block_rows):
+        result = sample_and_score(data, labels, strategy, min(size, n), seed)
+        sub_raw = own[result.indices]
+        if len(np.unique(sub_raw)) < 2:
+            assert not result.defined and result.micro_weighted is None
+            return
+        expected = full_report(Dataset(data.points[result.indices]), canonicalize_labels(sub_raw))
+    report = result.report
+    assert report.per_point.tobytes() == expected.per_point.tobytes()
+    assert report.per_cluster.tobytes() == expected.per_cluster.tobytes()
+    assert (report.micro, report.macro) == (expected.micro, expected.macro)
+    assert report.singleton_count == expected.singleton_count
+    _, first = np.unique(sub_raw, return_index=True)
+    full_sizes = labels.cluster_sizes()[sub_raw[np.sort(first)]]
+    assert result.micro_weighted == float((expected.per_cluster * full_sizes).sum() / full_sizes.sum())

@@ -34,7 +34,7 @@ from .ingest import ColumnSchema, load_csv, read_dataset_csv, write_csv, write_d
 from .kselect import SweepRow, sweep
 from .sampling import STRATEGIES, sample_and_score
 from .silhouette import full_report
-from .synth import add_background_noise, imbalance_dataset, separated_blobs
+from .synth import DEMO_POINTS, add_background_noise, imbalance_dataset, separated_blobs
 
 PROFILES = ("even", "varied")
 NOISE_PAD = 0.10  # gen's default noise box padding per side
@@ -102,6 +102,17 @@ def _load_labels(args, data: Dataset) -> Labeling:
     return canonicalize_labels(data.truth_labels)
 
 
+def _at_least(name: str, value, low) -> None:
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+def _nonempty(flag: str, values: list) -> None:
+    # after parsing: argparse would make a type error an exit-2 usage error
+    if not values:
+        raise ValueError(f"{flag} needs at least one value")
+
+
 def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v]
 
@@ -111,8 +122,9 @@ def _float_list(text: str) -> list[float]:
 
 
 def cmd_gen(args) -> int:
-    if args.nucleus_extra < 0:
-        raise ValueError(f"--nucleus-extra must be at least 0, got {args.nucleus_extra}")
+    _at_least("--k", args.k, 1)
+    _at_least("--n", args.n, 1)
+    _at_least("--nucleus-extra", args.nucleus_extra, 0)
     if not 0 <= args.noise_pct < 100:
         raise ValueError(f"--noise-pct must be in [0, 100), got {args.noise_pct}")
     if args.profile is None:
@@ -180,6 +192,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    _at_least("--k", args.k, 1)
+    _at_least("--candidates", args.candidates, 1)
     data = _load_dataset(args)
     config_obj = KMeansConfig(rng_seed=args.seed, n_candidates=args.candidates)
     result = global_kmeanspp(data, args.k, config_obj)[args.k]
@@ -189,6 +203,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _at_least("--candidates", args.candidates, 1)
     _resolve_strategy(args)
     data = _load_dataset(args)
     config_obj = KMeansConfig(rng_seed=args.seed, n_candidates=args.candidates)
@@ -211,6 +226,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_nucleus_study(args) -> int:
+    _nonempty("--sizes", args.sizes)
+    _at_least("--sizes", min(args.sizes), DEMO_POINTS)
     rows = nucleus_study(args.sizes, seed=args.seed, threads=args.threads)
     _write_records(args.output, _config(args), NucleusStudyRow, rows)
     print(f"wrote {len(rows)} rows to {args.output}")
@@ -218,6 +235,10 @@ def cmd_nucleus_study(args) -> int:
 
 
 def cmd_noise_study(args) -> int:
+    _nonempty("--levels", args.levels)
+    for level in args.levels:
+        if not 0 <= level < 100:
+            raise ValueError(f"--levels must be in [0, 100), got {level}")
     if args.noise_pad is None:
         args.noise_pad = NOISE_STUDY_PAD  # the default, recorded at every level
     elif not any(args.levels):
@@ -237,6 +258,9 @@ def cmd_noise_study(args) -> int:
 
 
 def cmd_sample_study(args) -> int:
+    _nonempty("--sizes", args.sizes)
+    _at_least("--runs", args.runs, 1)
+    _at_least("--nucleus", args.nucleus, DEMO_POINTS)
     result = sample_study(
         args.sizes,
         args.runs,
@@ -356,23 +380,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        threads = getattr(args, "threads", 1)
-        if threads is None:
+        if getattr(args, "threads", 1) is None:
             args.threads = os.cpu_count() or 1  # the default: all cores
-        elif threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {threads}")
+        _at_least("--threads", getattr(args, "threads", 1), 1)
         env_seed = os.environ.get("SIL_SEED")
         if env_seed:
             try:
                 args.seed = int(env_seed)
             except ValueError:
                 raise ValueError(f"SIL_SEED must be an integer, got {env_seed!r}") from None
-            if args.seed < 0:
-                raise ValueError(f"SIL_SEED must be at least 0, got {args.seed}")
+            _at_least("SIL_SEED", args.seed, 0)
         for key in ("seed", "cluster_seed", "sample_seed_base"):
-            value = getattr(args, key, 0)
-            if value < 0:
-                raise ValueError(f"--{key.replace('_', '-')} must be at least 0, got {value}")
+            _at_least(f"--{key.replace('_', '-')}", getattr(args, key, 0), 0)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

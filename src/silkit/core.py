@@ -107,7 +107,7 @@ def _unbuffered():
 
 def _sq_distances(cols_t: np.ndarray, rows: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """m x r squared Euclidean distances from m column points, given as their
-    d x m transpose (each row contiguous), to the r x d row points: one
+    d x m transpose (a view or a copy), to the r x d row points: one
     coordinate at a time into an m x r buffer (subtract, square in place,
     add), with no gram shortcut, so nearby points keep their precision.
     Coordinates add in order from 0, as numpy sums a last axis shorter than

@@ -13,14 +13,15 @@ fewer than two clusters survive, the result is marked undefined rather than
 raising: on heavily imbalanced data a small uniform sample regularly lands
 inside a single cluster, and the study commands record that outcome.
 
-``_score_draws`` scores every draw: draws of one size L in one
-``_score_runs`` call over the full labeling's cluster ids, each aggregated
-by ``silhouette._report``. ``sample_and_score`` passes one draw;
-``monte_carlo_study`` passes groups of g = ``BLOCK_ROWS // L`` (at least
-1), whose g x L rows fit in one kernel block, and scores the full dataset
-once for the reference. A group's runs share column slabs as wide as the
-largest count of each cluster among them; a run's pad columns add an exact
-0.0, so every score has the bits of its draw scored alone.
+``_score_draws`` scores every draw: draws of one size L, as their row
+indices into the dataset's points, in one ``_score_runs`` call over the
+full labeling's cluster ids, each aggregated by ``silhouette._report``.
+``sample_and_score`` passes one draw; ``monte_carlo_study`` passes groups
+of g = ``BLOCK_ROWS // L`` (at least 1), whose g x L rows fit in one
+kernel block, and scores the full dataset once for the reference. A
+group's runs share column slabs as wide as the largest count of each
+cluster among them; a run's pad columns add an exact 0.0, so every score
+has the bits of its draw scored alone.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def _score_draws(
         return scored
     rows = np.stack([draws[j] for j in defined])
     sub_raws = own[rows]
-    per_point, counts = _score_runs(data.points[rows], sub_raws, labels.k)
+    per_point, counts = _score_runs(data.points, rows, sub_raws, labels.k)
     for j, sub_raw, run_scores, run_counts in zip(defined, sub_raws, per_point, counts):
         _, first = np.unique(sub_raw, return_index=True)
         ids = sub_raw[np.sort(first)]

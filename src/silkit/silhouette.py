@@ -11,12 +11,13 @@ Conventions (degenerate cases):
   * fewer than two clusters: the score does not exist and
     SilhouetteUndefinedError is raised.
 
-One kernel scores every labeling: ``_score_runs`` scores g runs of n points
-(with their own labels) at once, and ``_report`` aggregates one run.
-``full_report`` is the one-run case; sampled scoring passes groups of
-equally sized samples, whose columns are padded to common slab widths with
-pads that add an exact 0.0, and whose absent clusters have an infinite
-mean distance and no entry in the report.
+One kernel scores every labeling: ``_score_runs`` scores g runs at once,
+each n row indices into one point matrix (with their own labels), and
+``_report`` aggregates one run. ``full_report`` is the one-run case,
+``arange(N)``; sampled scoring passes groups of equally sized draws, whose
+columns are padded to common slab widths with pads that add an exact 0.0,
+and whose absent clusters have an infinite mean distance and no entry in
+the report.
 """
 
 from __future__ import annotations
@@ -80,45 +81,39 @@ def _scores_from_sums(sums: np.ndarray, own: np.ndarray, counts: np.ndarray) -> 
     return s
 
 
-def _columns(runs: np.ndarray, own: np.ndarray, counts: np.ndarray):
-    """The kernel's columns for g runs: each run's points sorted stably by
-    cluster into slabs, slab c as wide as the largest count of c, as a
-    d x m x g array; the m + 1 slab bounds; and the pad columns, as
-    ascending column numbers and their runs (None when there are none)."""
+def _columns(points: np.ndarray, rows: np.ndarray, own: np.ndarray, counts: np.ndarray):
+    """The kernel's columns for g runs of row indices into ``points``: each
+    run's rows sorted stably by cluster into slabs, slab c as wide as the
+    largest count of c, gathered once (no copy of ``points`` or of its
+    transpose) and viewed as d x m x g; the m + 1 slab bounds; and the m x g
+    mask of pad columns (all False when no run has any)."""
     g, n = own.shape
     bounds = [0, *np.cumsum(counts.max(axis=0)).tolist()]
-    m = bounds[-1]
-    order = np.argsort(own, axis=1, kind="stable")
-    pads = None
-    if m > n:
-        # run j's p-th member of cluster c goes to column bounds[c] + p; the
-        # other columns are pads, which repeat the run's first point, so
-        # their distances stay finite
-        sorted_own = np.take_along_axis(own, order, axis=1)
-        firsts = np.cumsum(counts, axis=1) - counts
-        slots = np.asarray(bounds[:-1])[sorted_own] - np.take_along_axis(firsts, sorted_own, axis=1)
-        slots += np.arange(n)
-        index = np.zeros((g, m), dtype=np.int64)
-        np.put_along_axis(index, slots, order, axis=1)
-        is_pad = np.ones((g, m), dtype=bool)
-        np.put_along_axis(is_pad, slots, False, axis=1)
-        order, pads = index, np.nonzero(is_pad.T)
-    cols = runs[np.arange(g)[:, None], order]
-    return np.ascontiguousarray(cols.transpose(2, 1, 0)), bounds, pads
+    # run j's p-th member of cluster c goes to slot bounds[c] + p; a slot
+    # left empty is a pad, which repeats the run's first row, so its
+    # distances stay finite
+    run, order = np.arange(g)[:, None], np.argsort(own, axis=1, kind="stable")
+    shift = np.asarray(bounds[:-1]) - np.cumsum(counts, axis=1) + counts
+    index = np.full((g, bounds[-1]), -1)
+    index[run, shift[run, own[run, order]] + np.arange(n)] = rows[run, order]
+    pads = index.T < 0
+    np.copyto(index.T, rows[:, 0], where=pads)
+    return points.T[:, index.T], bounds, pads
 
 
 def _score_runs(
-    runs: np.ndarray, own: np.ndarray, k: int, threads: int | None = None
+    points: np.ndarray, rows: np.ndarray, own: np.ndarray, k: int, threads: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-point scores of g runs of n points each, scored together: the
-    one kernel behind ``full_report`` (one run of every point) and the
-    Monte Carlo study (runs of one sample size).
+    one kernel behind ``full_report`` (one run of every point) and sampled
+    scoring (runs of one sample size).
 
-    ``runs`` (g x n x d) holds each run's points and ``own`` (g x n) their
-    cluster ids in 0..k-1; a run may miss clusters. Returns the g x n
-    scores and the g x k cluster counts of the runs.
+    ``rows`` (g x n) holds each run's row indices into the N x d ``points``
+    and ``own`` (g x n) their cluster ids in 0..k-1; runs may share rows,
+    and a run may miss clusters. Returns the g x n scores and the g x k
+    cluster counts of the runs.
 
-    Each run's points are sorted stably by cluster into columns, so a row's
+    Each run's rows are sorted stably by cluster into columns, so a row's
     distances to a cluster are one slab. Slab c is as wide as the largest
     count of c among the runs; a run with fewer members of c fills the rest
     with pad columns, whose distances are set to an exact 0.0, so the slab
@@ -141,7 +136,7 @@ def _score_runs(
     """
     g, n = own.shape
     counts = np.bincount((own + k * np.arange(g)[:, None]).ravel(), minlength=g * k).reshape(g, k)
-    cols_t, bounds, pads = _columns(runs, own, counts)
+    cols_t, bounds, pads = _columns(points, rows, own, counts)
     m = bounds[-1]
 
     per_point = np.empty((g, n), dtype=np.float64)
@@ -159,22 +154,21 @@ def _score_runs(
     # each thread allocates its kernel buffers once, for the tallest block
     local = threading.local()
 
-    def score_block(block: tuple[int, int]) -> None:
-        lo, hi = block
+    def score_block(span: tuple[int, int]) -> None:
+        lo, hi = span
         r = g * (hi - lo)
         if not hasattr(local, "work"):
             local.work = np.empty((2 * width + 1) * g * (step + 1))
         sums = np.zeros((k, r))
+        block = points[rows[:, lo:hi]]
         with _unbuffered():
             for t0 in range(0, m, width):
                 t1 = min(t0 + width, m)
                 # row 0 is spare, the tile's distances are rows 1..t1-t0
                 tile = local.work[: (t1 - t0 + 1) * r].reshape(-1, r)
-                dist = _sq_distances(cols_t[:, t0:t1], runs[:, lo:hi], local.work[r:])
+                dist = _sq_distances(cols_t[:, t0:t1], block, local.work[r:])
                 np.sqrt(dist, out=dist)
-                if pads is not None:
-                    p0, p1 = np.searchsorted(pads[0], (t0, t1))
-                    dist[pads[0][p0:p1] - t0, pads[1][p0:p1]] = 0.0
+                dist[pads[t0:t1]] = 0.0
                 for c in range(bisect_right(bounds, t0) - 1, bisect_left(bounds, t1)):
                     s, e = max(bounds[c], t0) - t0, min(bounds[c + 1], t1) - t0
                     tile[s] = sums[c]
@@ -203,7 +197,7 @@ def _report(per_point: np.ndarray, own: np.ndarray, counts: np.ndarray, ids: np.
 
 def full_report(data: Dataset, labels: Labeling, threads: int | None = None) -> SilhouetteReport:
     """Complete silhouette report for a labeled dataset: ``_score_runs``
-    with one run of every point, which needs no pad columns. With
+    with one run of every row, which has no pad columns. With
     ``threads`` > 1 its blocks are scored on that many threads; the scores
     are the same bits at any block height, tile width and thread count.
     """
@@ -212,5 +206,5 @@ def full_report(data: Dataset, labels: Labeling, threads: int | None = None) -> 
     if labels.k < 2:
         raise SilhouetteUndefinedError("silhouette requires at least two clusters")
     own, k = labels.assignments, labels.k
-    per_point, counts = _score_runs(data.points[None], own[None], k, threads)
+    per_point, counts = _score_runs(data.points, np.arange(data.n)[None], own[None], k, threads)
     return _report(per_point[0], own, counts[0], np.arange(k))

@@ -33,6 +33,8 @@ __all__ = [
 
 # Cluster id of the nucleus blob in the imbalance demo.
 NUCLEUS_CLUSTER = 0
+# Points of each demo cluster before the nucleus grows; the least nucleus.
+DEMO_POINTS = 100
 
 # Frozen imbalance-demo layout: (center x, center y, stddev).
 # Index 0 is the nucleus; 1..2 the radial gate pair; 3..11 the outer ring.
@@ -164,7 +166,7 @@ def add_background_noise(
 
 
 def imbalance_dataset(
-    nucleus_total: int = 10_000, points_per_cluster: int = 100, seed: int = 0
+    nucleus_total: int = 10_000, points_per_cluster: int = DEMO_POINTS, seed: int = 0
 ) -> tuple[Dataset, Labeling]:
     """The 12-cluster imbalance demo (see module docstring), its nucleus
     grown to ``nucleus_total`` points with the nucleus blob's own stddev,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -578,6 +579,12 @@ GOLDEN_RUNS = [
      "-o", "sample_runs.csv", "--summary", "sample_summary.csv"],
 ]
 
+def _ran_on() -> str:
+    # a failing byte pin names both installs, as bytes may differ on another
+    # Python or numpy than the one the pins were captured on
+    return f"pinned on Python 3.11.7, numpy 2.4.6; ran on Python {sys.version}, numpy {np.__version__}"
+
+
 GOLDEN_DIGESTS = {
     "cluster.json": "04b847ba37006699fb4af28c84d4355171990516a3601e0bebfda90206eb5287",
     "cluster_schema.json": "3be07a8250715c98fb9eea104df5b9c4ecc8e3cd4add70bb6f77c11c66ae69fc",
@@ -617,7 +624,7 @@ def test_outputs_match_parent_digests(tmp_path, monkeypatch):
     digests = {
         name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS
     }
-    assert digests == GOLDEN_DIGESTS
+    assert digests == GOLDEN_DIGESTS, _ran_on()
 
 
 # sha256 of each leaf command's --help at 80 columns (argparse wraps to the
@@ -640,7 +647,8 @@ def test_leaf_help_is_pinned(capsys, monkeypatch, command):
     with pytest.raises(SystemExit) as exit_info:
         run(command.split() + ["--help"])
     assert exit_info.value.code == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_DIGESTS[command]
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == HELP_DIGESTS[command], _ran_on()
 
 
 # Every recorded key shapes the output: for each leaf command, each recorded
@@ -769,3 +777,79 @@ def test_gen_nucleus_extra_records_the_varied_profile(tmp_path):
     assert run(argv + ["--profile", "varied", "-o", str(explicit)]) == 0
     assert "# profile=varied\n" in implied.read_text()
     assert implied.read_bytes() == explicit.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "blobs", "--k", "0"], "--k must be at least 1, got 0"),
+        (["gen", "blobs", "--n", "0"], "--n must be at least 1, got 0"),
+        (["cluster", "--data", "{data}", "--k", "0"], "--k must be at least 1, got 0"),
+        (["cluster", "--data", "{data}", "--k", "2", "--candidates", "0"],
+         "--candidates must be at least 1, got 0"),
+        (["sweep", "--data", "{data}", "--k-max", "3", "--candidates", "0"],
+         "--candidates must be at least 1, got 0"),
+        (["sample-study", "--nucleus", "0", "--threads", "1", "--summary", "{summary}"],
+         "--nucleus must be at least 100, got 0"),
+        (["sample-study", "--runs", "0", "--threads", "1", "--summary", "{summary}"],
+         "--runs must be at least 1, got 0"),
+        (["nucleus-study", "--sizes", "200,50", "--threads", "1"], "--sizes must be at least 100, got 50"),
+        (["noise-study", "--levels", "0,100", "--threads", "1"], "--levels must be in [0, 100), got 100.0"),
+        (["nucleus-study", "--sizes", ",", "--threads", "1"], "--sizes needs at least one value"),
+        (["sample-study", "--sizes", ",", "--nucleus", "100", "--threads", "1", "--summary", "{summary}"],
+         "--sizes needs at least one value"),
+        (["noise-study", "--levels", ",", "--threads", "1"], "--levels needs at least one value"),
+    ],
+    ids=["gen-k", "gen-n", "cluster-k", "cluster-candidates", "sweep-candidates", "sample-study-nucleus",
+         "sample-study-runs", "nucleus-study-sizes", "noise-study-levels", "nucleus-study-no-sizes",
+         "sample-study-no-sizes", "noise-study-no-levels"],
+)
+def test_bad_flag_value_is_one_line_naming_the_flag(tmp_path, capsys, argv, message):
+    # each bound is checked where the flag is parsed, so the line names the
+    # flag as typed, not a library parameter; an empty list is checked after
+    # parsing, as a type error there would be an exit-2 usage error
+    data, summary = tmp_path / "data.csv", tmp_path / "summary.csv"
+    run(["gen", "blobs", "--k", "2", "--n", "15", "-o", str(data)])
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    filled = [a.format(data=data, summary=summary) for a in argv]
+    assert run(filled + ["-o", str(out)]) == 1
+    assert _one_error_line(capsys) == f"error: {message}"
+    assert not out.exists() and not summary.exists()
+
+
+# error lines no other test reaches, and gen's one-cluster layout, which
+# succeeds: each case writes its files, runs from their directory, and
+# ends in its one error line, or in exit 0 when the message is None
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        ({"raw.csv": "1,2\n3,4\n5,7\n", "schema.json": '{"columns": ["numeric", "numeric"]}'},
+         ["score", "--data", "raw.csv", "--schema", "schema.json"],
+         "dataset has no label column; pass --labels"),
+        ({"head.csv": "# command=gen\nx0,x1,label\n"}, ["score", "--data", "head.csv"],
+         "head.csv: expected a header row and at least one data row"),
+        ({"z.csv": "x0,x1,z\n0,0,0\n1,1,1\n"}, ["score", "--data", "z.csv"],
+         "z.csv: last column must be 'label', got 'z'"),
+        ({"d.csv": "x0,x1,label\n0,0,0\n1,1,1\n2,0,0\n3,1,1\n", "one.txt": "7\n7\n7\n7\n"},
+         ["score", "--data", "d.csv", "--labels", "one.txt", "--sample", "3", "--strategy", "balanced"],
+         "balanced sampling requires at least two clusters"),
+        ({}, ["gen", "blobs", "--k", "1", "--n", "5"], None),
+    ],
+    ids=["schema-without-label", "header-only", "last-column-not-label", "balanced-one-cluster", "gen-k1"],
+)
+def test_endings_no_other_test_reaches(tmp_path, capsys, monkeypatch, files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text)
+    out = Path("out.json" if argv[0] == "score" else "out.csv")
+    code = run(argv + ["-o", str(out)])
+    if message is None:
+        assert code == 0
+        rows = _rows(out)
+        assert rows[0] == "x0,x1,label" and len(rows) == 6
+        assert {row.rsplit(",", 1)[1] for row in rows[1:]} == {"0"}
+    else:
+        assert code == 1
+        assert _one_error_line(capsys) == f"error: {message}"
+        assert not out.exists()

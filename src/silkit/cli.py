@@ -107,6 +107,17 @@ def _at_least(name: str, value, low) -> None:
         raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
+def _at_most(name: str, value, high, why: str) -> None:
+    if value > high:
+        raise ValueError(f"{name} must be at most {high} ({why}), got {value}")
+
+
+def _k_range(args) -> None:
+    """--k-min and --k-max of a sweep, before any data is read."""
+    _at_least("--k-min", args.k_min, 2)
+    _at_least("--k-max", args.k_max, args.k_min)
+
+
 def _nonempty(flag: str, values: list) -> None:
     # after parsing: argparse would make a type error an exit-2 usage error
     if not values:
@@ -195,6 +206,7 @@ def cmd_cluster(args) -> int:
     _at_least("--k", args.k, 1)
     _at_least("--candidates", args.candidates, 1)
     data = _load_dataset(args)
+    _at_most("--k", args.k, data.n, f"the {data.n} rows")
     config_obj = KMeansConfig(rng_seed=args.seed, n_candidates=args.candidates)
     result = global_kmeanspp(data, args.k, config_obj)[args.k]
     _write_json(args.output, {"config": _config(args), **result.to_dict()})
@@ -204,8 +216,10 @@ def cmd_cluster(args) -> int:
 
 def cmd_sweep(args) -> int:
     _at_least("--candidates", args.candidates, 1)
+    _k_range(args)
     _resolve_strategy(args)
     data = _load_dataset(args)
+    _at_most("--k-max", args.k_max, data.n - 1, f"one below the {data.n} rows")
     config_obj = KMeansConfig(rng_seed=args.seed, n_candidates=args.candidates)
     result = sweep(
         data, args.k_min, args.k_max, config_obj, sample_size=args.sample, sample_strategy=args.strategy
@@ -243,6 +257,7 @@ def cmd_noise_study(args) -> int:
         args.noise_pad = NOISE_STUDY_PAD  # the default, recorded at every level
     elif not any(args.levels):
         raise ValueError("--noise-pad sizes the noise box, so it needs a level above 0")
+    _k_range(args)
     rows = noise_study(
         args.levels,
         k_min=args.k_min,

@@ -93,8 +93,11 @@ class KMeansResult:
 
 def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-center labels (ties -> smaller index) and N x k squared distances,
-    a view of a k x N buffer so that a min over centers runs down its rows."""
-    d2 = _sq_distances(np.ascontiguousarray(centers.T), points).T
+    a view of a k x N buffer so that a min over centers runs down its rows.
+    The kernel reads the rows ``points.T``, so a caller that passes the
+    view ``points_t.T`` of a C-contiguous d x N ``points_t`` gives it
+    contiguous coordinate rows; any layout gives the same bits."""
+    d2 = _sq_distances(centers.T, points.T).T
     return d2.argmin(axis=1), d2
 
 
@@ -104,7 +107,7 @@ def _repair_empty(points: np.ndarray, centers: np.ndarray, labels: np.ndarray, d
     in place, rewriting that center's column of ``d2``. Sizes and distances
     update as it goes, so two empty clusters never seize the same point or
     coinciding ones. A farthest point at distance 0 means fewer distinct
-    points than k: ValueError."""
+    points than k: ValueError. ``points`` is as in ``_assign``."""
     sizes = np.bincount(labels, minlength=len(centers))
     if sizes.all():
         return labels
@@ -118,13 +121,14 @@ def _repair_empty(points: np.ndarray, centers: np.ndarray, labels: np.ndarray, d
         sizes[c] += 1
         labels[far] = c
         centers[c] = points[far]
-        d2[:, c] = _sq_distances(centers[c][:, None], points)[0]
+        d2[:, c] = _sq_distances(centers[c][:, None], points.T)[0]
         far_d2 = np.minimum(far_d2, d2[:, c])
     return labels
 
 
 def _full_step(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Assign and repair, with each point's distance to its nearest other center."""
+    """Assign and repair, with each point's distance to its nearest other
+    center. ``points`` is as in ``_assign``."""
     labels, d2 = _assign(points, centers)
     labels = _repair_empty(points, centers, labels, d2)
     d2[np.arange(len(labels)), labels] = np.inf
@@ -151,7 +155,7 @@ def lloyd(data: Dataset, initial_centers: np.ndarray, config: KMeansConfig, firs
     hi = np.maximum(points_t.max(axis=1), centers.max(axis=0))
     reach = np.sqrt(((hi - lo) ** 2).sum()) + 2 * data.dim**0.5 * data.n * 2.0**-52 * np.maximum(-lo, hi).max()
     delta = (3 * data.dim + config.max_iters + 16) * 2.0**-40 * reach
-    labels, lower = _full_step(points, centers) if first is None else first
+    labels, lower = _full_step(points_t.T, centers) if first is None else first
     sizes = np.bincount(labels, minlength=k)
     prev_sse = None
     iterations = 0
@@ -165,17 +169,17 @@ def lloyd(data: Dataset, initial_centers: np.ndarray, config: KMeansConfig, firs
         prev_sse = sse
         lower -= np.sqrt(((centers - old) ** 2).sum(axis=1)).max()
         near = np.flatnonzero(np.sqrt(np.einsum("ij->i", sq)) + delta >= lower)
-        d2 = _sq_distances(points_t[:, near], centers)
-        moved = d2.argmin(axis=1)
-        d2[np.arange(len(near)), moved] = np.inf
-        lower[near] = np.sqrt(d2.min(axis=1))
+        d2 = _sq_distances(centers.T, np.take(points_t, near, axis=1))
+        moved = d2.argmin(axis=0)
+        d2[moved, np.arange(len(near))] = np.inf
+        lower[near] = np.sqrt(d2.min(axis=0))
         if np.array_equal(moved, labels[near]):
             converged = True  # fixpoint: sse and centers already belong to these labels
             break
         labels[near] = moved
         sizes = np.bincount(labels, minlength=k)
         if not sizes.all():
-            labels, lower = _full_step(points, centers)
+            labels, lower = _full_step(points_t.T, centers)
             sizes = np.bincount(labels, minlength=k)
         if tol_met or iterations == config.max_iters:
             converged = tol_met
@@ -199,6 +203,7 @@ def global_kmeanspp(data: Dataset, k_max: int, config: KMeansConfig) -> dict[int
         raise ValueError(f"k_max={k_max} exceeds the number of points {data.n}")
     rng = np.random.default_rng(config.rng_seed)
     points = data.points
+    points_t = np.ascontiguousarray(points.T)
 
     mean = points.mean(axis=0)[None, :]
     sse1 = float(((points - mean[0]) ** 2).sum())
@@ -207,7 +212,7 @@ def global_kmeanspp(data: Dataset, k_max: int, config: KMeansConfig) -> dict[int
     for k in range(2, k_max + 1):
         base = results[k - 1].centers
         with _unbuffered():  # rows N long, below numpy's unbuffered threshold
-            d2 = _sq_distances(np.ascontiguousarray(base.T), points)
+            d2 = _sq_distances(base.T, points_t)
         base_labels = d2.argmin(axis=0)
         nearest = d2.min(axis=0)
         d2[base_labels, np.arange(data.n)] = np.inf
@@ -220,7 +225,7 @@ def global_kmeanspp(data: Dataset, k_max: int, config: KMeansConfig) -> dict[int
         else:
             candidates = rng.choice(data.n, size=min(config.n_candidates, data.n), replace=False)
         with _unbuffered():
-            dnew = _sq_distances(np.ascontiguousarray(points[candidates].T), points)
+            dnew = _sq_distances(np.take(points_t, candidates, axis=1), points_t)
         best: KMeansResult | None = None
         for idx, to_new in zip(candidates, dnew):
             trial = np.vstack([base, points[int(idx)]])

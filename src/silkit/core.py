@@ -3,7 +3,10 @@
 Everything downstream (silhouette scoring, sampling, k-means) works on the
 immutable containers defined here; the studies share its ordered parallel
 map and its one distance kernel, whose direct difference formula gives a
-distance the same bits whatever block of rows it is computed in.
+distance the same bits whatever block of rows it is computed in. The kernel
+takes both operands coordinate-major (d x ... x points), and every caller in
+the package passes C-contiguous coordinate rows, so each subtraction reads
+contiguous memory.
 """
 
 from __future__ import annotations
@@ -105,29 +108,32 @@ def _unbuffered():
         np.setbufsize(old)
 
 
-def _sq_distances(cols_t: np.ndarray, rows: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """m x r squared Euclidean distances from m column points, given as their
-    d x m transpose (a view or a copy), to the r x d row points: one
-    coordinate at a time into an m x r buffer (subtract, square in place,
-    add), with no gram shortcut, so nearby points keep their precision.
-    Coordinates add in order from 0, as numpy sums a last axis shorter than
-    8, so for d < 8 these are the bits of ``(diff * diff).sum(-1)``. With a
-    run axis, d x m x g columns and g x r x d rows give the m x g x r
-    distances of g runs at once, run j's columns against run j's rows. A
-    caller that streams many blocks can pass a flat float64 ``work`` array of
-    at least twice the result's size to hold the two buffers, so it
-    allocates (and page-faults) them once; the result is then a view of
-    ``work``."""
-    shape = (*cols_t.shape[1:], rows.shape[-2])
+def _sq_distances(cols_t: np.ndarray, rows_t: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """m x r squared Euclidean distances from m column points to r row
+    points, both given coordinate-major: the d x m columns (a view or a
+    copy) and the d x r rows. One coordinate at a time into an m x r buffer
+    (subtract, square in place, add), with no gram shortcut, so nearby
+    points keep their precision. Coordinates add in order from 0, as numpy
+    sums a last axis shorter than 8, so for d < 8 these are the bits of
+    ``(diff * diff).sum(-1)``. Each subtraction broadcasts one column value
+    against ``rows_t[j]``, which numpy runs on its SIMD loop when that row
+    is C-contiguous (not a stride-d view of an r x d matrix); any layout
+    gives the same bits. With a run axis, d x m x g columns and d x g x r
+    rows give the m x g x r distances of g runs at once, run j's columns
+    against run j's rows. A caller that streams many blocks can pass a flat
+    float64 ``work`` array of at least twice the result's size to hold the
+    two buffers, so it allocates (and page-faults) them once; the result is
+    then a view of ``work``."""
+    shape = (*cols_t.shape[1:], rows_t.shape[-1])
     if work is None:
         out, buf = np.empty(shape), np.empty(shape)
     else:
         size = math.prod(shape)
         out, buf = work[:size].reshape(shape), work[size : 2 * size].reshape(shape)
-    np.subtract(cols_t[0][..., None], rows[..., 0], out=out)
+    np.subtract(cols_t[0][..., None], rows_t[0], out=out)
     np.multiply(out, out, out=out)
     for j in range(1, len(cols_t)):
-        np.subtract(cols_t[j][..., None], rows[..., j], out=buf)
+        np.subtract(cols_t[j][..., None], rows_t[j], out=buf)
         out += np.multiply(buf, buf, out=buf)
     return out
 
@@ -143,7 +149,7 @@ def pairwise_distances(data: Dataset) -> np.ndarray:
     out = np.empty((n, n), dtype=np.float64)
     step = max(1, (1 << 20) // n)  # two n x step kernel buffers of ~8 MB
     for lo in range(0, n, step):
-        np.sqrt(_sq_distances(cols_t, points[lo : lo + step]), out=out[:, lo : lo + step])
+        np.sqrt(_sq_distances(cols_t, cols_t[:, lo : lo + step]), out=out[:, lo : lo + step])
     return out
 
 

@@ -84,9 +84,10 @@ def _scores_from_sums(sums: np.ndarray, own: np.ndarray, counts: np.ndarray) -> 
 def _columns(points: np.ndarray, rows: np.ndarray, own: np.ndarray, counts: np.ndarray):
     """The kernel's columns for g runs of row indices into ``points``: each
     run's rows sorted stably by cluster into slabs, slab c as wide as the
-    largest count of c, gathered once (no copy of ``points`` or of its
-    transpose) and viewed as d x m x g; the m + 1 slab bounds; and the m x g
-    mask of pad columns (all False when no run has any)."""
+    largest count of c, gathered once from the view ``points.T`` (no copy
+    of ``points`` or of its transpose) into a C-contiguous d x m x g array;
+    the m + 1 slab bounds; and the m x g mask of pad columns (all False
+    when no run has any)."""
     g, n = own.shape
     bounds = [0, *np.cumsum(counts.max(axis=0)).tolist()]
     # run j's p-th member of cluster c goes to slot bounds[c] + p; a slot
@@ -98,7 +99,7 @@ def _columns(points: np.ndarray, rows: np.ndarray, own: np.ndarray, counts: np.n
     index[run, shift[run, own[run, order]] + np.arange(n)] = rows[run, order]
     pads = index.T < 0
     np.copyto(index.T, rows[:, 0], where=pads)
-    return points.T[:, index.T], bounds, pads
+    return np.take(points.T, index.T, axis=1), bounds, pads
 
 
 def _score_runs(
@@ -116,20 +117,25 @@ def _score_runs(
     Each run's rows are sorted stably by cluster into columns, so a row's
     distances to a cluster are one slab. Slab c is as wide as the largest
     count of c among the runs; a run with fewer members of c fills the rest
-    with pad columns, whose distances are set to an exact 0.0, so the slab
-    sum stays the run's own member-order chain (x + 0.0 == x). Blocks take
-    up to ``BLOCK_ROWS // g`` rows of every run at once (callers keep
-    g x n within ``BLOCK_ROWS``, so a block holds a run's whole row length
-    when g > 1), against the columns in tiles of ``TILE_ELEMS`` distances,
-    so the kernel's two buffers stay near 1 MB each, ~2 MB a thread. A slab
-    that spans tiles is folded: before each of its segments is summed, its
-    running sum is copied into the tile row just above the segment (a spare
-    row, or the previous slab's last row, already summed), so every slab
-    sum is one chain in member order whatever the block height, tile width
-    or run grouping. numpy feeds a broadcast subtraction with rows shorter
-    than ~4096 through its 8192-element ufunc buffer, several times slower
-    than running it unbuffered, so each block runs with the buffer set to
-    256 elements (``_unbuffered``). With ``threads`` > 1 the blocks, at
+    with pad columns, whose distances are set to an exact 0.0 (a call with
+    none skips that pass), so the slab sum stays the run's own member-order
+    chain (x + 0.0 == x). Blocks take up to ``BLOCK_ROWS // g`` rows of
+    every run at once (callers keep g x n within ``BLOCK_ROWS``, so a block
+    holds a run's whole row length when g > 1), against the columns in
+    tiles of ``TILE_ELEMS`` distances, so the kernel's two buffers stay near
+    1 MB each, ~2 MB a thread. Both kernel operands are coordinate-major
+    and gathered from the view ``points.T``: the columns once per call as
+    d x m x g, and each block's rows once into a d x g x h per-thread
+    buffer, so every subtraction streams a contiguous coordinate row and no
+    tile copies or allocates. A slab that spans tiles is folded: before
+    each of its segments is summed, its running sum is copied into the tile
+    row just above the segment (a spare row, or the previous slab's last
+    row, already summed), so every slab sum is one chain in member order
+    whatever the block height, tile width or run grouping. numpy feeds a
+    broadcast subtraction with rows shorter than ~4096 through its
+    8192-element ufunc buffer, several times slower than running it
+    unbuffered, so each block runs with the buffer set to 256 elements
+    (``_unbuffered``). With ``threads`` > 1 the blocks, at
     most n / threads rows tall, are scored on that many threads. Each block
     writes only its own rows, so the result does not depend on the thread
     count either; None or 1 scores serially.
@@ -137,7 +143,10 @@ def _score_runs(
     g, n = own.shape
     counts = np.bincount((own + k * np.arange(g)[:, None]).ravel(), minlength=g * k).reshape(g, k)
     cols_t, bounds, pads = _columns(points, rows, own, counts)
-    m = bounds[-1]
+    m, d = bounds[-1], points.shape[1]
+    # checked once: a call without pad columns (full_report, a group whose
+    # runs share their cluster counts) has nothing to zero
+    any_pads = bool(pads.any())
 
     per_point = np.empty((g, n), dtype=np.float64)
     workers = max(threads or 1, 1)
@@ -151,7 +160,7 @@ def _score_runs(
     # many small calls in a row reuse each other's freed memory; a small
     # call touches only the pages its tile uses
     width = max(1, TILE_ELEMS // (g * step))
-    # each thread allocates its kernel buffers once, for the tallest block
+    # each thread allocates its kernel and row buffers once, for the tallest block
     local = threading.local()
 
     def score_block(span: tuple[int, int]) -> None:
@@ -159,8 +168,12 @@ def _score_runs(
         r = g * (hi - lo)
         if not hasattr(local, "work"):
             local.work = np.empty((2 * width + 1) * g * (step + 1))
+            local.block = np.empty(d * g * (step + 1))
         sums = np.zeros((k, r))
-        block = points[rows[:, lo:hi]]
+        # the indices are rows of points, so "clip" never clips; unlike
+        # "raise" it writes straight into the buffer
+        block = local.block[: d * r].reshape(d, g, hi - lo)
+        np.take(points.T, rows[:, lo:hi], axis=1, out=block, mode="clip")
         with _unbuffered():
             for t0 in range(0, m, width):
                 t1 = min(t0 + width, m)
@@ -168,7 +181,8 @@ def _score_runs(
                 tile = local.work[: (t1 - t0 + 1) * r].reshape(-1, r)
                 dist = _sq_distances(cols_t[:, t0:t1], block, local.work[r:])
                 np.sqrt(dist, out=dist)
-                dist[pads[t0:t1]] = 0.0
+                if any_pads:
+                    dist[pads[t0:t1]] = 0.0
                 for c in range(bisect_right(bounds, t0) - 1, bisect_left(bounds, t1)):
                     s, e = max(bounds[c], t0) - t0, min(bounds[c + 1], t1) - t0
                     tile[s] = sums[c]

@@ -112,7 +112,7 @@ def test_sweep_k_max_up_to_n_minus_one(tmp_path, capsys):
     out.unlink()
     capsys.readouterr()
     assert run(["sweep", "--data", str(data), "--k-max", "10", "-o", str(out)]) == 1
-    assert "k_max <= N-1" in _one_error_line(capsys)
+    assert _one_error_line(capsys) == "error: --k-max must be at most 9 (one below the 10 rows), got 10"
     assert not out.exists()
 
 
@@ -799,10 +799,16 @@ def test_gen_nucleus_extra_records_the_varied_profile(tmp_path):
         (["sample-study", "--sizes", ",", "--nucleus", "100", "--threads", "1", "--summary", "{summary}"],
          "--sizes needs at least one value"),
         (["noise-study", "--levels", ",", "--threads", "1"], "--levels needs at least one value"),
+        (["sweep", "--data", "{data}", "--k-min", "1"], "--k-min must be at least 2, got 1"),
+        (["sweep", "--data", "{data}", "--k-max", "30"], "--k-max must be at most 29 (one below the 30 rows), got 30"),
+        (["sweep", "--data", "{data}", "--k-min", "5", "--k-max", "3"], "--k-max must be at least 5, got 3"),
+        (["noise-study", "--levels", "0", "--k-max", "1", "--threads", "1"], "--k-max must be at least 2, got 1"),
+        (["cluster", "--data", "{data}", "--k", "31"], "--k must be at most 30 (the 30 rows), got 31"),
     ],
     ids=["gen-k", "gen-n", "cluster-k", "cluster-candidates", "sweep-candidates", "sample-study-nucleus",
          "sample-study-runs", "nucleus-study-sizes", "noise-study-levels", "nucleus-study-no-sizes",
-         "sample-study-no-sizes", "noise-study-no-levels"],
+         "sample-study-no-sizes", "noise-study-no-levels", "sweep-k-min", "sweep-k-max-rows",
+         "sweep-k-max-below-k-min", "noise-study-k-max", "cluster-k-rows"],
 )
 def test_bad_flag_value_is_one_line_naming_the_flag(tmp_path, capsys, argv, message):
     # each bound is checked where the flag is parsed, so the line names the

@@ -221,9 +221,9 @@ def test_global_kernel_calls_unbuffered_and_buffer_restored(monkeypatch):
     # own calls and the caller keep theirs, also when a call raises
     sizes = []
 
-    def recording(cols_t, rows, work=None):
-        sizes.append((np.getbufsize(), len(rows), cols_t.shape[1]))
-        return _sq_distances(cols_t, rows, work)
+    def recording(cols_t, rows_t, work=None):
+        sizes.append((np.getbufsize(), rows_t.shape[-1], cols_t.shape[1]))
+        return _sq_distances(cols_t, rows_t, work)
 
     monkeypatch.setattr(clustering, "_sq_distances", recording)
     data = Dataset(np.random.default_rng(5).normal(size=(60, 2)))
@@ -237,7 +237,7 @@ def test_global_kernel_calls_unbuffered_and_buffer_restored(monkeypatch):
         buffered = {size for size, _, _ in sizes if size != 256}
         assert buffered == {16384}
 
-        def failing(cols_t, rows, work=None):
+        def failing(cols_t, rows_t, work=None):
             raise MemoryError
 
         monkeypatch.setattr(clustering, "_sq_distances", failing)

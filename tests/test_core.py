@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from silkit import clustering, sampling, silhouette
+from silkit.clustering import KMeansConfig, global_kmeanspp, lloyd
 from silkit.core import (
     Dataset,
     Labeling,
@@ -49,7 +53,7 @@ def test_row_equals_matrix_row_bitwise():
     m = pairwise_distances(d)
     cols_t = np.ascontiguousarray(d.points.T)
     for i in range(20):
-        assert np.array_equal(np.sqrt(_sq_distances(cols_t, d.points[i : i + 1]))[:, 0], m[i])
+        assert np.array_equal(np.sqrt(_sq_distances(cols_t, cols_t[:, i : i + 1]))[:, 0], m[i])
 
 
 def test_row_self_distance_zero():
@@ -57,19 +61,60 @@ def test_row_self_distance_zero():
     d = Dataset(rng.normal(size=(9, 2)))
     cols_t = np.ascontiguousarray(d.points.T)
     for i in range(9):
-        assert _sq_distances(cols_t, d.points[i : i + 1])[i, 0] == 0.0
+        assert _sq_distances(cols_t, cols_t[:, i : i + 1])[i, 0] == 0.0
 
 
 def test_kernel_run_axis_is_each_run_alone():
-    # d x m x g columns against g x r x d rows: run j's columns against run
+    # d x m x g columns against d x g x r rows: run j's columns against run
     # j's rows, with the bits of the one-run call
     rng = np.random.default_rng(4)
     cols, rows = rng.normal(size=(3, 7, 2)), rng.normal(size=(3, 5, 2))
-    batched = _sq_distances(np.ascontiguousarray(cols.transpose(2, 1, 0)), rows)
+    cols_t, rows_t = (np.ascontiguousarray(a.transpose(2, i, 1 - i)) for a, i in ((cols, 1), (rows, 0)))
+    batched = _sq_distances(cols_t, rows_t)
     assert batched.shape == (7, 3, 5)
     for j in range(3):
-        alone = _sq_distances(np.ascontiguousarray(cols[j].T), rows[j])
+        alone = _sq_distances(np.ascontiguousarray(cols[j].T), np.ascontiguousarray(rows[j].T))
         assert batched[:, j].tobytes() == alone.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), d=st.integers(1, 13), m=st.integers(1, 9), r=st.integers(1, 40))
+def test_kernel_bytes_do_not_depend_on_operand_layout(seed, d, m, r):
+    # strided views (the transposes of m x d and r x d matrices) and their
+    # C-contiguous copies take different numpy loops, with the same bytes
+    rng = np.random.default_rng(seed)
+    cols, rows = rng.normal(size=(m, d)), rng.normal(scale=rng.uniform(0.1, 10.0), size=(r, d))
+    strided = _sq_distances(cols.T, rows.T)
+    contiguous = _sq_distances(np.ascontiguousarray(cols.T), np.ascontiguousarray(rows.T))
+    assert strided.tobytes() == contiguous.tobytes()
+    work = np.empty(2 * m * r + 3)
+    assert _sq_distances(cols.T, np.ascontiguousarray(rows.T), work).tobytes() == contiguous.tobytes()
+
+
+def test_every_kernel_call_reads_contiguous_rows(monkeypatch):
+    # each subtraction streams a C-contiguous coordinate row of rows_t in
+    # full_report, a padded sampled group, lloyd (with an empty-cluster
+    # repair) and global k-means++
+    calls = []
+
+    def recording(cols_t, rows_t, work=None):
+        calls.append(all(row.flags.c_contiguous for row in rows_t))
+        return _sq_distances(cols_t, rows_t, work)
+
+    for module in (silhouette, clustering):
+        monkeypatch.setattr(module, "_sq_distances", recording)
+    rng = np.random.default_rng(6)
+    points, raw = rng.normal(size=(90, 3)), np.repeat([0, 1, 2], 30)
+    data, labels = Dataset(points), Labeling(raw, 3)
+    silhouette.full_report(data, labels, threads=2)
+    draws = [np.sort(rng.choice(90, size=12, replace=False)) for _ in range(4)]
+    assert all(len(np.unique(raw[rows])) > 1 for rows in draws)
+    sampling._score_draws(data, labels, draws)
+    n_scoring = len(calls)
+    lloyd(data, points[[0, 0, 40]], KMeansConfig())  # the two equal centers empty a cluster
+    global_kmeanspp(data, 4, KMeansConfig(n_candidates=3))
+    assert n_scoring >= 2 and len(calls) > n_scoring + 2
+    assert all(calls)
 
 
 def test_unbuffered_restores_buffer_size():

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Labeling, _sq_distances, _unbuffered
+from .core import Dataset, Labeling, _sq_distances
 
 __all__ = [
     "KMeansConfig",
@@ -195,7 +195,8 @@ def global_kmeanspp(data: Dataset, k_max: int, config: KMeansConfig) -> dict[int
 
     Returns the solution for every k in 1..k_max. SSE is non-increasing in
     k because every candidate starts from the previous centers plus one
-    data point.
+    data point. Its two kernel calls per k have N-long rows, which the
+    kernel runs with numpy's small ufunc buffer, as it does Lloyd's.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -211,8 +212,7 @@ def global_kmeanspp(data: Dataset, k_max: int, config: KMeansConfig) -> dict[int
 
     for k in range(2, k_max + 1):
         base = results[k - 1].centers
-        with _unbuffered():  # rows N long, below numpy's unbuffered threshold
-            d2 = _sq_distances(base.T, points_t)
+        d2 = _sq_distances(base.T, points_t)
         base_labels = d2.argmin(axis=0)
         nearest = d2.min(axis=0)
         d2[base_labels, np.arange(data.n)] = np.inf
@@ -224,8 +224,7 @@ def global_kmeanspp(data: Dataset, k_max: int, config: KMeansConfig) -> dict[int
             candidates = rng.choice(data.n, size=size, replace=False, p=nearest / total)
         else:
             candidates = rng.choice(data.n, size=min(config.n_candidates, data.n), replace=False)
-        with _unbuffered():
-            dnew = _sq_distances(np.take(points_t, candidates, axis=1), points_t)
+        dnew = _sq_distances(np.take(points_t, candidates, axis=1), points_t)
         best: KMeansResult | None = None
         for idx, to_new in zip(candidates, dnew):
             trial = np.vstack([base, points[int(idx)]])

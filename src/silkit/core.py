@@ -12,8 +12,8 @@ contiguous memory.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,21 +93,6 @@ class Labeling:
         return np.flatnonzero(self.assignments == c)
 
 
-@contextmanager
-def _unbuffered():
-    """Run the block with numpy's ufunc buffer at 256 elements (per thread),
-    restored on exit. numpy feeds a broadcast operation whose rows are
-    shorter than ~4096 elements through its 8192-element buffer, several
-    times slower than running it unbuffered. Elementwise results keep their
-    bits; a reduction that casts its input sums pairwise within each
-    buffer, so its bits would depend on the buffer size."""
-    old = np.setbufsize(256)
-    try:
-        yield
-    finally:
-        np.setbufsize(old)
-
-
 def _sq_distances(cols_t: np.ndarray, rows_t: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """m x r squared Euclidean distances from m column points to r row
     points, both given coordinate-major: the d x m columns (a view or a
@@ -123,18 +108,27 @@ def _sq_distances(cols_t: np.ndarray, rows_t: np.ndarray, work: np.ndarray | Non
     against run j's rows. A caller that streams many blocks can pass a flat
     float64 ``work`` array of at least twice the result's size to hold the
     two buffers, so it allocates (and page-faults) them once; the result is
-    then a view of ``work``."""
+    then a view of ``work``. numpy feeds a broadcast operation whose rows
+    are shorter than ~4096 elements through its 8192-element ufunc buffer,
+    several times slower than running it unbuffered, so the kernel runs its
+    own calls with the buffer at 256 elements (per thread) and restores the
+    caller's size after, also when it raises. They are all elementwise, so
+    no bit depends on the buffer size."""
     shape = (*cols_t.shape[1:], rows_t.shape[-1])
     if work is None:
         out, buf = np.empty(shape), np.empty(shape)
     else:
         size = math.prod(shape)
         out, buf = work[:size].reshape(shape), work[size : 2 * size].reshape(shape)
-    np.subtract(cols_t[0][..., None], rows_t[0], out=out)
-    np.multiply(out, out, out=out)
-    for j in range(1, len(cols_t)):
-        np.subtract(cols_t[j][..., None], rows_t[j], out=buf)
-        out += np.multiply(buf, buf, out=buf)
+    old = np.setbufsize(256)
+    try:
+        np.subtract(cols_t[0][..., None], rows_t[0], out=out)
+        np.multiply(out, out, out=out)
+        for j in range(1, len(cols_t)):
+            np.subtract(cols_t[j][..., None], rows_t[j], out=buf)
+            out += np.multiply(buf, buf, out=buf)
+    finally:
+        np.setbufsize(old)
     return out
 
 
@@ -153,13 +147,20 @@ def pairwise_distances(data: Dataset) -> np.ndarray:
     return out
 
 
+def _workers(threads: int | None) -> int:
+    """``threads`` as a worker count: 1 for None, at most the cores."""
+    return max(1, min(threads or 1, os.cpu_count() or 1))
+
+
 def _parallel_map(fn, items, threads: int | None) -> list:
-    """``[fn(x) for x in items]``, on a thread pool when threads > 1.
+    """``[fn(x) for x in items]``, on ``_workers(threads)`` threads when
+    that is more than one.
 
     Results come back in input order, so they never depend on scheduling.
     """
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = _workers(threads)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Labeling, _parallel_map, _sq_distances, _unbuffered
+from .core import Dataset, Labeling, _parallel_map, _sq_distances, _workers
 
 __all__ = ["SilhouetteUndefinedError", "SilhouetteReport", "full_report"]
 
@@ -131,14 +131,13 @@ def _score_runs(
     each of its segments is summed, its running sum is copied into the tile
     row just above the segment (a spare row, or the previous slab's last
     row, already summed), so every slab sum is one chain in member order
-    whatever the block height, tile width or run grouping. numpy feeds a
-    broadcast subtraction with rows shorter than ~4096 through its
-    8192-element ufunc buffer, several times slower than running it
-    unbuffered, so each block runs with the buffer set to 256 elements
-    (``_unbuffered``). With ``threads`` > 1 the blocks, at
-    most n / threads rows tall, are scored on that many threads. Each block
-    writes only its own rows, so the result does not depend on the thread
-    count either; None or 1 scores serially.
+    whatever the block height, tile width or run grouping. The kernel sets
+    numpy's ufunc buffer for its own calls; the tile's square roots, pad
+    zeroing and slab sums run at the caller's. With ``threads`` > 1 the
+    blocks, at most n / w rows tall, are scored on w = ``_workers(threads)``
+    threads, at most the cores. Each block writes only its own rows, so the
+    result does not depend on the thread count either; None or 1 scores
+    serially.
     """
     g, n = own.shape
     counts = np.bincount((own + k * np.arange(g)[:, None]).ravel(), minlength=g * k).reshape(g, k)
@@ -149,7 +148,7 @@ def _score_runs(
     any_pads = bool(pads.any())
 
     per_point = np.empty((g, n), dtype=np.float64)
-    workers = max(threads or 1, 1)
+    workers = _workers(threads)
     # numpy sums a one-column slab pairwise but a wider one in member order,
     # so no block is left with a single row (n >= 2 once k >= 2)
     step = max(2, min(n, BLOCK_ROWS // g, -(-n // workers)))
@@ -174,19 +173,18 @@ def _score_runs(
         # "raise" it writes straight into the buffer
         block = local.block[: d * r].reshape(d, g, hi - lo)
         np.take(points.T, rows[:, lo:hi], axis=1, out=block, mode="clip")
-        with _unbuffered():
-            for t0 in range(0, m, width):
-                t1 = min(t0 + width, m)
-                # row 0 is spare, the tile's distances are rows 1..t1-t0
-                tile = local.work[: (t1 - t0 + 1) * r].reshape(-1, r)
-                dist = _sq_distances(cols_t[:, t0:t1], block, local.work[r:])
-                np.sqrt(dist, out=dist)
-                if any_pads:
-                    dist[pads[t0:t1]] = 0.0
-                for c in range(bisect_right(bounds, t0) - 1, bisect_left(bounds, t1)):
-                    s, e = max(bounds[c], t0) - t0, min(bounds[c + 1], t1) - t0
-                    tile[s] = sums[c]
-                    np.add.reduce(tile[s : e + 1], axis=0, out=sums[c])
+        for t0 in range(0, m, width):
+            t1 = min(t0 + width, m)
+            # row 0 is spare, the tile's distances are rows 1..t1-t0
+            tile = local.work[: (t1 - t0 + 1) * r].reshape(-1, r)
+            dist = _sq_distances(cols_t[:, t0:t1], block, local.work[r:])
+            np.sqrt(dist, out=dist)
+            if any_pads:
+                dist[pads[t0:t1]] = 0.0
+            for c in range(bisect_right(bounds, t0) - 1, bisect_left(bounds, t1)):
+                s, e = max(bounds[c], t0) - t0, min(bounds[c + 1], t1) - t0
+                tile[s] = sums[c]
+                np.add.reduce(tile[s : e + 1], axis=0, out=sums[c])
         sums = sums.reshape(k, g, -1)
         for j in range(g):
             per_point[j, lo:hi] = _scores_from_sums(sums[:, j].T, own[j, lo:hi], counts[j])
@@ -212,8 +210,9 @@ def _report(per_point: np.ndarray, own: np.ndarray, counts: np.ndarray, ids: np.
 def full_report(data: Dataset, labels: Labeling, threads: int | None = None) -> SilhouetteReport:
     """Complete silhouette report for a labeled dataset: ``_score_runs``
     with one run of every row, which has no pad columns. With
-    ``threads`` > 1 its blocks are scored on that many threads; the scores
-    are the same bits at any block height, tile width and thread count.
+    ``threads`` > 1 its blocks are scored on that many threads, at most the
+    cores; the scores are the same bits at any block height, tile width and
+    thread count.
     """
     if labels.n != data.n:
         raise ValueError("labeling length does not match dataset")

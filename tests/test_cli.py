@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from silkit.cli import main
+from silkit.cli import build_parser, main
 
 
 def run(argv):
@@ -627,28 +628,39 @@ def test_outputs_match_parent_digests(tmp_path, monkeypatch):
     assert digests == GOLDEN_DIGESTS, _ran_on()
 
 
-# sha256 of each leaf command's --help at 80 columns (argparse wraps to the
-# terminal width, and its layout can differ between Python versions; these
-# are Python 3.11's). A changed flag, choice or help string shows here.
+def _actions_digest(command: str) -> str:
+    """sha256 of a leaf parser's actions: each one's option strings, dest,
+    metavar, choices, default, required flag and help, in order. A changed
+    flag, choice, default or help string shows here; argparse's layout of
+    the --help text, which differs between Python versions, does not."""
+    parser = build_parser()
+    for name in command.split():
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    fields = [
+        [a.option_strings, a.dest, a.metavar, a.choices, a.default, a.required, a.help]
+        for a in parser._actions
+    ]
+    return hashlib.sha256(json.dumps(fields, default=repr).encode()).hexdigest()
+
+
 HELP_DIGESTS = {
-    "gen blobs": "35e7023aa4f64467ee1530dce6f77267635297a7f8214bb753c484237d670a33",
-    "score": "c8ee2c1028ca6ccbc0659224fb0317964ef6d1bcdfa811c00680f47a37fc06e2",
-    "cluster": "916d16dad4fb260ef2d6fd94e52247f0b11da74e20fc087301af3e736965cf33",
-    "sweep": "f9344754082f07e5aa545fc32f33bd6333b4b8fa4935e837914d47672ef7e9a5",
-    "nucleus-study": "bbf4a403a1f85d289306eaff207b97971016be237758eea85c8319481e321904",
-    "noise-study": "4a783f07b4378b0f6fb144c8d4882445ddb3ad1a8f8a4e2dd2230205d1112641",
-    "sample-study": "0d8e04ad59cc99397857836e7c11bcfb3cc07840044f6ec01b612dc351d55628",
+    "gen blobs": "3623060b55b9492c80a8b32753fb5848054b030caed3fe08ccf449873ff56ae6",
+    "score": "b2d8412ff167e73f0cc8164d5c3851dfb2df9682a4c347c88fe5d9ab8a827d66",
+    "cluster": "ab3d36b827771cf0d627004cd0eb23c152ff323e58880c346ef6dd11d6e8ad78",
+    "sweep": "1711c859c89cc37e2f00419982ab55175e08ef26750986578214c54f8b06c0c3",
+    "nucleus-study": "8fdb3ff3172bacafb58f40e4d03cc0c54e04e348b5a59d605ae786f5671f7491",
+    "noise-study": "f6ffb7c9c92012efe5145bd9d134912caaa06ffe9ab485a54f1511da18054f16",
+    "sample-study": "71d6971c2a519b7c4b11880e6b94e0adc83da438bd3d285201255483fe20e22e",
 }
 
 
 @pytest.mark.parametrize("command", HELP_DIGESTS)
-def test_leaf_help_is_pinned(capsys, monkeypatch, command):
-    monkeypatch.setenv("COLUMNS", "80")
+def test_leaf_help_is_pinned(capsys, command):
     with pytest.raises(SystemExit) as exit_info:
         run(command.split() + ["--help"])
     assert exit_info.value.code == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == HELP_DIGESTS[command], _ran_on()
+    assert _actions_digest(command) == HELP_DIGESTS[command], _ran_on()
 
 
 # Every recorded key shapes the output: for each leaf command, each recorded

@@ -1,15 +1,17 @@
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from silkit import clustering, sampling, silhouette
+from silkit import clustering, core, sampling, silhouette
 from silkit.clustering import KMeansConfig, global_kmeanspp, lloyd
 from silkit.core import (
     Dataset,
     Labeling,
     _sq_distances,
-    _unbuffered,
     canonicalize_labels,
     pairwise_distances,
 )
@@ -117,18 +119,161 @@ def test_every_kernel_call_reads_contiguous_rows(monkeypatch):
     assert all(calls)
 
 
-def test_unbuffered_restores_buffer_size():
+class _BufferSpy:
+    """numpy for the kernel's module, except that subtract and multiply
+    record the ufunc buffer size they run at (and raise when told to)."""
+
+    def __init__(self):
+        self.seen, self.fail = [], False
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _record(self, ufunc, *args, **kwargs):
+        self.seen.append(np.getbufsize())
+        if self.fail:
+            raise MemoryError
+        return ufunc(*args, **kwargs)
+
+    def subtract(self, *args, **kwargs):
+        return self._record(np.subtract, *args, **kwargs)
+
+    def multiply(self, *args, **kwargs):
+        return self._record(np.multiply, *args, **kwargs)
+
+
+def test_kernel_runs_its_calls_unbuffered_and_restores_the_callers(monkeypatch):
+    # every kernel call runs its subtractions and squares with numpy's
+    # ufunc buffer at 256 elements, in full_report's tiles, a padded sampled
+    # group, lloyd (with an empty-cluster repair) and global k-means++, and
+    # hands the caller back its own size, also when it raises
+    spy, calls = _BufferSpy(), []
+
+    def recording(cols_t, rows_t, work=None):
+        before, start = np.getbufsize(), len(spy.seen)
+        try:
+            return _sq_distances(cols_t, rows_t, work)
+        finally:
+            calls.append((before, set(spy.seen[start:]), np.getbufsize()))
+
+    monkeypatch.setattr(core, "np", spy)
+    for module in (silhouette, clustering):
+        monkeypatch.setattr(module, "_sq_distances", recording)
+    rng = np.random.default_rng(6)
+    points, raw = rng.normal(size=(90, 3)), np.repeat([0, 1, 2], 30)
+    data, labels = Dataset(points), Labeling(raw, 3)
+    draws = [rng.choice(90, size=12, replace=False) for _ in range(4)]
+    assert len({tuple(np.bincount(raw[rows], minlength=3)) for rows in draws}) > 1  # padded
     default = np.getbufsize()
     np.setbufsize(16384)
     try:
-        with _unbuffered():
-            assert np.getbufsize() == 256
-        assert np.getbufsize() == 16384
-        with pytest.raises(ZeroDivisionError), _unbuffered():
-            1 / 0
-        assert np.getbufsize() == 16384
+        with mock.patch.object(silhouette, "TILE_ELEMS", 90 * 20):
+            silhouette.full_report(data, labels)
+        n_full = len(calls)
+        sampling._score_draws(data, labels, draws)
+        n_scoring = len(calls)
+        lloyd(data, points[[0, 0, 40]], KMeansConfig())  # the two equal centers empty a cluster
+        n_lloyd = len(calls)
+        global_kmeanspp(data, 4, KMeansConfig(n_candidates=3))
+        assert n_full > 2 and n_scoring > n_full and n_lloyd > n_scoring + 2 and len(calls) > n_lloyd
+        assert calls == [(16384, {256}, 16384)] * len(calls)
+
+        spy.fail = True
+        with pytest.raises(MemoryError):
+            silhouette.full_report(data, labels)
+        with pytest.raises(MemoryError):
+            _sq_distances(points.T, points.T)
+        assert np.getbufsize() == 16384 and spy.seen[-1] == 256
     finally:
         np.setbufsize(default)
+
+
+def _buffer_instance(seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(6, 60)), int(rng.integers(1, 5))
+    k = int(rng.integers(2, 5))
+    points = rng.normal(scale=rng.uniform(0.1, 10.0), size=(n, d))
+    if seed % 3 == 0:
+        points[: n // 3] = points[-1]
+    raw = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    rng.shuffle(raw)
+    draws = [rng.choice(n, size=n // 2, replace=False) for _ in range(3)]
+    return Dataset(points), canonicalize_labels(raw), draws
+
+
+def _buffer_outputs(data, labels, draws) -> list[bytes]:
+    out = []
+    for threads in (1, 2):
+        report = silhouette.full_report(data, labels, threads)
+        out += [report.per_point.tobytes(), report.per_cluster.tobytes()]
+    for scored in sampling._score_draws(data, labels, draws):
+        out.append(b"" if scored is None else scored[0].per_point.tobytes())
+    for result in global_kmeanspp(data, 3, KMeansConfig(n_candidates=3)).values():
+        out += [result.centers.tobytes(), result.labeling.assignments.tobytes()]
+    return out
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_results_do_not_depend_on_the_callers_ufunc_buffer(seed):
+    # only the kernel's elementwise work runs at its small buffer; scoring's
+    # square roots and slab sums and Lloyd's reductions run at the caller's,
+    # and give the same bytes at any size
+    data, labels, draws = _buffer_instance(seed)
+    default = np.getbufsize()
+    outputs = []
+    try:
+        for size in (256, 8192, 16384):
+            np.setbufsize(size)
+            outputs.append(_buffer_outputs(data, labels, draws))
+    finally:
+        np.setbufsize(default)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_threads_above_the_cores_run_on_the_cores(monkeypatch):
+    # threads=10**6 asks for no more workers than there are cores, in blocks
+    # as tall as at threads=cores; the stand-in pool runs its tasks inline,
+    # so no thread starts
+    cores = os.cpu_count() or 1
+    rng = np.random.default_rng(8)
+    data = Dataset(rng.normal(size=(300, 2)))
+    labels = Labeling(np.repeat([0, 1, 2], 100), 3)
+
+    def pools_and_blocks(run):
+        pools, blocks = [], []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        def recording(cols_t, rows_t, work=None):
+            blocks.append(rows_t.shape[-1])
+            return _sq_distances(cols_t, rows_t, work)
+
+        with (
+            mock.patch.object(core, "ThreadPoolExecutor", InlinePool),
+            mock.patch.object(silhouette, "_sq_distances", recording),
+        ):
+            run()
+        return pools, sorted(blocks)
+
+    for run in (
+        lambda threads: silhouette.full_report(data, labels, threads),
+        lambda threads: sampling.monte_carlo_study(data, labels, [20], 3, threads=threads),
+    ):
+        pools, blocks = pools_and_blocks(lambda: run(10**6))
+        assert all(workers <= cores for workers in pools), pools
+        assert (pools, blocks) == pools_and_blocks(lambda: run(cores))
 
 
 def test_non_finite_rejected():

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports; the package's
-``__init__.py`` is exempt, since its imports are its re-exports."""
+"""Source rules of the package: every module uses each name it imports
+(the package's ``__init__.py`` is exempt, since its imports are its
+re-exports), and only the distance kernel sets numpy's ufunc buffer."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,40 @@ def test_module_uses_every_import(path):
 def test_unused_import_is_found():
     source = "import os\nfrom x import a, b as c\nimport numpy.linalg\nprint(a)\n"
     assert _unused_imports(source) == ["line 1: os", "line 2: c", "line 3: numpy"]
+
+
+def _setbufsize_callers(source: str) -> list[str]:
+    """The top-level functions (or "<module>") whose code calls
+    ``setbufsize``, by attribute (``np.setbufsize``) or by name."""
+    callers = []
+    for top in ast.parse(source).body:
+        named = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        owner = top.name if named else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "setbufsize":
+                    callers.append(owner)
+    return callers
+
+
+def test_only_the_kernel_sets_the_ufunc_buffer():
+    # the kernel owns numpy's buffer rule; a caller that sets the buffer
+    # would run its own reductions at the kernel's size
+    callers = {
+        f"{path.stem}.{owner}"
+        for path in SRC.glob("*.py")
+        for owner in _setbufsize_callers(path.read_text())
+    }
+    assert callers == {"core._sq_distances"}
+
+
+def test_setbufsize_caller_is_found():
+    source = (
+        "import numpy as np\nfrom numpy import setbufsize\n"
+        "def kernel():\n    np.setbufsize(256)\n"
+        "def caller():\n    with x:\n        setbufsize(256)\n"
+        "np.setbufsize(256)\n"
+    )
+    assert _setbufsize_callers(source) == ["kernel", "caller", "<module>"]

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from silkit import clustering
+from silkit import clustering, core
 from silkit.clustering import (
     KMeansConfig,
     _assign,
     global_kmeanspp,
     lloyd,
 )
-from silkit.core import Dataset
+from silkit.core import Dataset, _sq_distances
 from silkit.synth import separated_blobs
 
 from naive import broadcast_sq_distances, reference_global_kmeanspp, reference_lloyd
@@ -213,6 +213,58 @@ def test_global_calls_lloyd_by_name_per_candidate(monkeypatch):
     data = Dataset(rng.normal(size=(60, 2)))
     global_kmeanspp(data, 6, KMeansConfig(n_candidates=4, rng_seed=0))
     assert len(calls) == 4 * (6 - 1)
+
+
+class _BufferSizes:
+    """numpy for the kernel's module, except that subtract records the
+    ufunc buffer size it runs at (and raises when told to)."""
+
+    def __init__(self):
+        self.seen, self.fail = [], False
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def subtract(self, *args, **kwargs):
+        self.seen.append(np.getbufsize())
+        if self.fail:
+            raise MemoryError
+        return np.subtract(*args, **kwargs)
+
+
+def test_global_kernel_calls_unbuffered_and_buffer_restored(monkeypatch):
+    # every kernel call global k-means++ makes (the nearest-center and the
+    # candidate distances of each k, and its Lloyd runs') runs with numpy's
+    # ufunc buffer at 256 elements; the caller keeps its own size, also when
+    # a call raises
+    spy, calls = _BufferSizes(), []
+
+    def recording(cols_t, rows_t, work=None):
+        before, start = np.getbufsize(), len(spy.seen)
+        try:
+            return _sq_distances(cols_t, rows_t, work)
+        finally:
+            calls.append((rows_t.shape[-1], cols_t.shape[1], before, set(spy.seen[start:]), np.getbufsize()))
+
+    monkeypatch.setattr(core, "np", spy)
+    monkeypatch.setattr(clustering, "_sq_distances", recording)
+    data = Dataset(np.random.default_rng(5).normal(size=(60, 2)))
+    default = np.getbufsize()
+    np.setbufsize(16384)
+    try:
+        global_kmeanspp(data, 5, KMeansConfig(n_candidates=3, rng_seed=0))
+        assert np.getbufsize() == 16384
+        assert calls and all(call[2:] == (16384, {256}, 16384) for call in calls)
+        # the two N-long calls per k come in order among Lloyd's
+        n_long = iter([(rows, cols) for rows, cols, *_ in calls if rows == 60])
+        assert all(pair in n_long for k in range(2, 6) for pair in ((60, k - 1), (60, 3)))
+
+        spy.fail = True
+        with pytest.raises(MemoryError):
+            global_kmeanspp(data, 3, KMeansConfig(rng_seed=0))
+        assert np.getbufsize() == 16384 and spy.seen[-1] == 256
+    finally:
+        np.setbufsize(default)
 
 
 def _assert_global_matches_cold_reference(data, k_max, config):

@@ -142,11 +142,31 @@ class _BufferSpy:
         return self._record(np.multiply, *args, **kwargs)
 
 
+def test_unbuffered_restores_buffer_size(monkeypatch):
+    # the kernel runs its subtractions and squares with numpy's ufunc buffer
+    # at 256 elements and hands the caller back its own size, also when it
+    # raises
+    spy = _BufferSpy()
+    monkeypatch.setattr(core, "np", spy)
+    points = np.random.default_rng(7).normal(size=(20, 3))
+    default = np.getbufsize()
+    np.setbufsize(16384)
+    try:
+        assert np.array_equal(_sq_distances(points.T, points.T), _sq_distances(points.T, points.T))
+        assert set(spy.seen) == {256} and np.getbufsize() == 16384
+        spy.fail = True
+        with pytest.raises(MemoryError):
+            _sq_distances(points.T, points.T)
+        assert np.getbufsize() == 16384 and spy.seen[-1] == 256
+    finally:
+        np.setbufsize(default)
+
+
 def test_kernel_runs_its_calls_unbuffered_and_restores_the_callers(monkeypatch):
     # every kernel call runs its subtractions and squares with numpy's
     # ufunc buffer at 256 elements, in full_report's tiles, a padded sampled
-    # group, lloyd (with an empty-cluster repair) and global k-means++, and
-    # hands the caller back its own size, also when it raises
+    # group and lloyd (with an empty-cluster repair), and hands the caller
+    # back its own size, also when it raises
     spy, calls = _BufferSpy(), []
 
     def recording(cols_t, rows_t, work=None):
@@ -173,16 +193,12 @@ def test_kernel_runs_its_calls_unbuffered_and_restores_the_callers(monkeypatch):
         sampling._score_draws(data, labels, draws)
         n_scoring = len(calls)
         lloyd(data, points[[0, 0, 40]], KMeansConfig())  # the two equal centers empty a cluster
-        n_lloyd = len(calls)
-        global_kmeanspp(data, 4, KMeansConfig(n_candidates=3))
-        assert n_full > 2 and n_scoring > n_full and n_lloyd > n_scoring + 2 and len(calls) > n_lloyd
+        assert n_full > 2 and n_scoring > n_full and len(calls) > n_scoring + 2
         assert calls == [(16384, {256}, 16384)] * len(calls)
 
         spy.fail = True
         with pytest.raises(MemoryError):
             silhouette.full_report(data, labels)
-        with pytest.raises(MemoryError):
-            _sq_distances(points.T, points.T)
         assert np.getbufsize() == 16384 and spy.seen[-1] == 256
     finally:
         np.setbufsize(default)

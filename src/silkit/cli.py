@@ -34,7 +34,7 @@ from .ingest import ColumnSchema, load_csv, read_dataset_csv, write_csv, write_d
 from .kselect import SweepRow, sweep
 from .sampling import STRATEGIES, sample_and_score
 from .silhouette import full_report
-from .synth import DEMO_POINTS, add_background_noise, imbalance_dataset, separated_blobs
+from .synth import DEMO_CLUSTERS, DEMO_POINTS, add_background_noise, imbalance_dataset, separated_blobs
 
 PROFILES = ("even", "varied")
 NOISE_PAD = 0.10  # gen's default noise box padding per side
@@ -112,6 +112,12 @@ def _at_most(name: str, value, high, why: str) -> None:
         raise ValueError(f"{name} must be at most {high} ({why}), got {value}")
 
 
+def _sample_sizes(flag: str, sizes: list[int], high: int, why: str) -> None:
+    """Sample sizes of a sampled scoring, before any clustering or scoring."""
+    _at_least(flag, min(sizes), 2)
+    _at_most(flag, max(sizes), high, why)
+
+
 def _k_range(args) -> None:
     """--k-min and --k-max of a sweep, before any data is read."""
     _at_least("--k-min", args.k_min, 2)
@@ -181,6 +187,7 @@ def cmd_score(args) -> int:
     labels = _load_labels(args, data)
     payload = {"config": _config(args)}
     if args.sample is not None:
+        _sample_sizes("--sample", [args.sample], data.n, f"the {data.n} rows")
         result = sample_and_score(data, labels, args.strategy, args.sample, args.seed)
         payload["sample"] = {
             "strategy": args.strategy,
@@ -220,6 +227,9 @@ def cmd_sweep(args) -> int:
     _resolve_strategy(args)
     data = _load_dataset(args)
     _at_most("--k-max", args.k_max, data.n - 1, f"one below the {data.n} rows")
+    if args.sample is not None:
+        why = f"one below the {data.n} rows; omit it to score in full"
+        _sample_sizes("--sample", [args.sample], data.n - 1, why)
     config_obj = KMeansConfig(rng_seed=args.seed, n_candidates=args.candidates)
     result = sweep(
         data, args.k_min, args.k_max, config_obj, sample_size=args.sample, sample_strategy=args.strategy
@@ -276,6 +286,8 @@ def cmd_sample_study(args) -> int:
     _nonempty("--sizes", args.sizes)
     _at_least("--runs", args.runs, 1)
     _at_least("--nucleus", args.nucleus, DEMO_POINTS)
+    rows = args.nucleus + DEMO_POINTS * (DEMO_CLUSTERS - 1)
+    _sample_sizes("--sizes", args.sizes, rows, f"the {rows} rows at --nucleus {args.nucleus}")
     result = sample_study(
         args.sizes,
         args.runs,

@@ -218,12 +218,12 @@ def global_kmeanspp(data: Dataset, k_max: int, config: KMeansConfig) -> dict[int
         d2[base_labels, np.arange(data.n)] = np.inf
         second = d2.min(axis=0)
         total = nearest.sum()
-        n_nonzero = int((nearest > 0).sum())
-        if total > 0:
-            size = min(config.n_candidates, n_nonzero)
-            candidates = rng.choice(data.n, size=size, replace=False, p=nearest / total)
-        else:
-            candidates = rng.choice(data.n, size=min(config.n_candidates, data.n), replace=False)
+        if total == 0:
+            # every point sits on one of the k - 1 centers: no candidate can
+            # start a k-th cluster, so Lloyd would raise this on the first
+            raise ValueError(f"the data has fewer than k={k} distinct points")
+        size = min(config.n_candidates, int((nearest > 0).sum()))
+        candidates = rng.choice(data.n, size=size, replace=False, p=nearest / total)
         dnew = _sq_distances(np.take(points_t, candidates, axis=1), points_t)
         best: KMeansResult | None = None
         for idx, to_new in zip(candidates, dnew):

@@ -105,14 +105,14 @@ def _sq_distances(cols_t: np.ndarray, rows_t: np.ndarray, work: np.ndarray | Non
     is C-contiguous (not a stride-d view of an r x d matrix); any layout
     gives the same bits. With a run axis, d x m x g columns and d x g x r
     rows give the m x g x r distances of g runs at once, run j's columns
-    against run j's rows. A caller that streams many blocks can pass a flat
-    float64 ``work`` array of at least twice the result's size to hold the
-    two buffers, so it allocates (and page-faults) them once; the result is
-    then a view of ``work``. numpy feeds a broadcast operation whose rows
-    are shorter than ~4096 elements through its 8192-element ufunc buffer,
-    several times slower than running it unbuffered, so the kernel runs its
-    own calls with the buffer at 256 elements (per thread) and restores the
-    caller's size after, also when it raises. They are all elementwise, so
+    against run j's rows. A caller can pass a flat float64 ``work`` array
+    of at least twice the result's size to hold the two buffers (scoring
+    keeps a spare row just before them); the result is then a view of
+    ``work``. numpy feeds a broadcast operation whose rows are shorter than
+    ~4096 elements through its 8192-element ufunc buffer, several times
+    slower than running it unbuffered, so the kernel runs its own calls
+    with the buffer at 256 elements (per thread) and restores the caller's
+    size after, also when it raises. They are all elementwise, so
     no bit depends on the buffer size."""
     shape = (*cols_t.shape[1:], rows_t.shape[-1])
     if work is None:

@@ -22,7 +22,6 @@ the report.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -122,27 +121,28 @@ def _score_runs(
     chain (x + 0.0 == x). Blocks take up to ``BLOCK_ROWS // g`` rows of
     every run at once (callers keep g x n within ``BLOCK_ROWS``, so a block
     holds a run's whole row length when g > 1), against the columns in
-    tiles of ``TILE_ELEMS`` distances, so the kernel's two buffers stay near
-    1 MB each, ~2 MB a thread. Both kernel operands are coordinate-major
-    and gathered from the view ``points.T``: the columns once per call as
-    d x m x g, and each block's rows once into a d x g x h per-thread
-    buffer, so every subtraction streams a contiguous coordinate row and no
-    tile copies or allocates. A slab that spans tiles is folded: before
-    each of its segments is summed, its running sum is copied into the tile
-    row just above the segment (a spare row, or the previous slab's last
-    row, already summed), so every slab sum is one chain in member order
-    whatever the block height, tile width or run grouping. The kernel sets
+    tiles of ``TILE_ELEMS`` distances, so the kernel's two buffers, which
+    each block allocates for itself, stay near 1 MB each, ~2 MB a block.
+    Both kernel operands are coordinate-major and gathered from the view
+    ``points.T``: the columns once per call as d x m x g, and each block's
+    rows once as a C-contiguous d x g x h array, so every subtraction
+    streams a contiguous coordinate row and no tile copies or allocates. A
+    slab that spans tiles is folded: before each of its segments is summed,
+    its running sum is copied into the tile row just above the segment (a
+    spare row, or the previous slab's last row, already summed), so every
+    slab sum is one chain in member order whatever the block height, tile
+    width or run grouping. The kernel sets
     numpy's ufunc buffer for its own calls; the tile's square roots, pad
     zeroing and slab sums run at the caller's. With ``threads`` > 1 the
-    blocks, at most n / w rows tall, are scored on w = ``_workers(threads)``
-    threads, at most the cores. Each block writes only its own rows, so the
-    result does not depend on the thread count either; None or 1 scores
-    serially.
+    blocks, at most n / w rows tall, are scored by ``core._parallel_map``
+    on w = ``_workers(threads)`` threads, at most the cores; no state is
+    kept between blocks. Each block writes only its own rows, so the result
+    does not depend on the thread count either; None or 1 scores serially.
     """
     g, n = own.shape
     counts = np.bincount((own + k * np.arange(g)[:, None]).ravel(), minlength=g * k).reshape(g, k)
     cols_t, bounds, pads = _columns(points, rows, own, counts)
-    m, d = bounds[-1], points.shape[1]
+    m = bounds[-1]
     # checked once: a call without pad columns (full_report, a group whose
     # runs share their cluster counts) has nothing to zero
     any_pads = bool(pads.any())
@@ -159,25 +159,19 @@ def _score_runs(
     # many small calls in a row reuse each other's freed memory; a small
     # call touches only the pages its tile uses
     width = max(1, TILE_ELEMS // (g * step))
-    # each thread allocates its kernel and row buffers once, for the tallest block
-    local = threading.local()
 
     def score_block(span: tuple[int, int]) -> None:
         lo, hi = span
         r = g * (hi - lo)
-        if not hasattr(local, "work"):
-            local.work = np.empty((2 * width + 1) * g * (step + 1))
-            local.block = np.empty(d * g * (step + 1))
+        # one size for every block: the tallest block's (at most step + 1 rows)
+        work = np.empty((2 * width + 1) * g * (step + 1))
         sums = np.zeros((k, r))
-        # the indices are rows of points, so "clip" never clips; unlike
-        # "raise" it writes straight into the buffer
-        block = local.block[: d * r].reshape(d, g, hi - lo)
-        np.take(points.T, rows[:, lo:hi], axis=1, out=block, mode="clip")
+        block = np.take(points.T, rows[:, lo:hi], axis=1)
         for t0 in range(0, m, width):
             t1 = min(t0 + width, m)
             # row 0 is spare, the tile's distances are rows 1..t1-t0
-            tile = local.work[: (t1 - t0 + 1) * r].reshape(-1, r)
-            dist = _sq_distances(cols_t[:, t0:t1], block, local.work[r:])
+            tile = work[: (t1 - t0 + 1) * r].reshape(-1, r)
+            dist = _sq_distances(cols_t[:, t0:t1], block, work[r:])
             np.sqrt(dist, out=dist)
             if any_pads:
                 dist[pads[t0:t1]] = 0.0

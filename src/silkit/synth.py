@@ -52,6 +52,8 @@ _DEMO_LAYOUT = (
     (-0.6283, -17.989, 1.37),
     (6.6, -11.4315, 1.58),
 )
+# Clusters of the imbalance demo, the nucleus among them.
+DEMO_CLUSTERS = len(_DEMO_LAYOUT)
 
 
 def generate_blobs(centers, stddevs, counts, seed: int = 0) -> tuple[Dataset, Labeling]:

@@ -423,10 +423,11 @@ def test_study_reruns_byte_identical_across_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+# the line for a size below 2, then each command's for a size above its bound
 SAMPLE_SIZE_ERRORS = {
-    "score": "error: sample size must be in [2, 120] (the dataset size), got {}",
-    "sweep": "error: sample size must be in [2, 119], below the dataset size 120 "
-    "(omit it to score in full), got {}",
+    "low": "error: --sample must be at least 2, got {}",
+    "score": "error: --sample must be at most 120 (the 120 rows), got {}",
+    "sweep": "error: --sample must be at most 119 (one below the 120 rows; omit it to score in full), got {}",
 }
 
 
@@ -440,7 +441,7 @@ def test_sample_size_out_of_range_is_one_line_error(tmp_path, capsys, command, s
     capsys.readouterr()
     out = tmp_path / "out.json"
     assert run([command, "--data", str(data), "--sample", size, "-o", str(out)]) == 1
-    assert _one_error_line(capsys) == SAMPLE_SIZE_ERRORS[command].format(size)
+    assert _one_error_line(capsys) == SAMPLE_SIZE_ERRORS["low" if int(size) < 2 else command].format(size)
     assert not out.exists()
 
 
@@ -816,11 +817,19 @@ def test_gen_nucleus_extra_records_the_varied_profile(tmp_path):
         (["sweep", "--data", "{data}", "--k-min", "5", "--k-max", "3"], "--k-max must be at least 5, got 3"),
         (["noise-study", "--levels", "0", "--k-max", "1", "--threads", "1"], "--k-max must be at least 2, got 1"),
         (["cluster", "--data", "{data}", "--k", "31"], "--k must be at most 30 (the 30 rows), got 31"),
+        (["score", "--data", "{data}", "--sample", "1"], "--sample must be at least 2, got 1"),
+        (["score", "--data", "{data}", "--sample", "31"], "--sample must be at most 30 (the 30 rows), got 31"),
+        (["sweep", "--data", "{data}", "--k-max", "3", "--sample", "1"], "--sample must be at least 2, got 1"),
+        (["sample-study", "--sizes", "1", "--nucleus", "100", "--threads", "1", "--summary", "{summary}"],
+         "--sizes must be at least 2, got 1"),
+        (["sample-study", "--sizes", "50,5000", "--nucleus", "100", "--threads", "1", "--summary", "{summary}"],
+         "--sizes must be at most 1200 (the 1200 rows at --nucleus 100), got 5000"),
     ],
     ids=["gen-k", "gen-n", "cluster-k", "cluster-candidates", "sweep-candidates", "sample-study-nucleus",
          "sample-study-runs", "nucleus-study-sizes", "noise-study-levels", "nucleus-study-no-sizes",
          "sample-study-no-sizes", "noise-study-no-levels", "sweep-k-min", "sweep-k-max-rows",
-         "sweep-k-max-below-k-min", "noise-study-k-max", "cluster-k-rows"],
+         "sweep-k-max-below-k-min", "noise-study-k-max", "cluster-k-rows", "score-sample-low",
+         "score-sample-rows", "sweep-sample-low", "sample-study-sizes-low", "sample-study-sizes-rows"],
 )
 def test_bad_flag_value_is_one_line_naming_the_flag(tmp_path, capsys, argv, message):
     # each bound is checked where the flag is parsed, so the line names the

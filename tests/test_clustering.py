@@ -327,6 +327,21 @@ def test_global_fewer_distinct_points_than_k_raises(k_max):
         global_kmeanspp(TWO_POINTS, k_max, KMeansConfig())
 
 
+def test_global_raises_before_lloyd_when_every_point_is_a_center(monkeypatch):
+    # at k=3 both distinct points are centers, so no candidate can start a
+    # third cluster: global k-means++ raises without a Lloyd run of 3 centers
+    started = []
+
+    def recording(data, initial_centers, config, first=None):
+        started.append(len(initial_centers))
+        return lloyd(data, initial_centers, config, first)
+
+    monkeypatch.setattr(clustering, "lloyd", recording)
+    with pytest.raises(ValueError, match="^the data has fewer than k=3 distinct points$"):
+        global_kmeanspp(TWO_POINTS, 4, KMeansConfig())
+    assert started and 3 not in started
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**16),

@@ -1,6 +1,7 @@
 """Source rules of the package: every module uses each name it imports
 (the package's ``__init__.py`` is exempt, since its imports are its
-re-exports), and only the distance kernel sets numpy's ufunc buffer."""
+re-exports), only the distance kernel sets numpy's ufunc buffer, and only
+``core`` imports a thread module."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,43 @@ def test_setbufsize_caller_is_found():
         "np.setbufsize(256)\n"
     )
     assert _setbufsize_callers(source) == ["kernel", "caller", "<module>"]
+
+
+THREAD_MODULES = ("threading", "concurrent.futures")
+
+
+def _thread_imports(source: str) -> list[str]:
+    """The names ``source`` imports from ``THREAD_MODULES``, dotted in
+    full ("from threading import local" gives "threading.local")."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [name for name in names if any(name == m or name.startswith(m + ".") for m in THREAD_MODULES)]
+    return found
+
+
+def test_only_core_imports_threads():
+    # core's _parallel_map and _workers own the threads; a module that keeps
+    # its own thread state would hold memory between the map's calls
+    importers = {path.stem for path in SRC.glob("*.py") if _thread_imports(path.read_text())}
+    assert importers == {"core"}
+
+
+def test_thread_import_is_found():
+    source = (
+        "import os, threading\nfrom threading import local as tl\n"
+        "from concurrent.futures import ThreadPoolExecutor\nfrom concurrent import futures\n"
+        "import concurrent.futures.thread\nfrom .core import threading\nimport threadingx\n"
+    )
+    assert _thread_imports(source) == [
+        "threading",
+        "threading.local",
+        "concurrent.futures.ThreadPoolExecutor",
+        "concurrent.futures",
+        "concurrent.futures.thread",
+    ]

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from silkit import silhouette
-from silkit.core import Dataset, Labeling, canonicalize_labels
+from silkit.core import Dataset, Labeling, _workers, canonicalize_labels
 from silkit.silhouette import SilhouetteUndefinedError, full_report
+from silkit.synth import imbalance_dataset
 
 from naive import gathered_cluster_sums, naive_silhouette
 
@@ -386,3 +388,17 @@ def test_report_json_roundtrip():
     assert set(payload) == {"micro", "macro", "per_cluster", "per_point", "singleton_count"}
     assert payload["micro"] == report.micro
     assert len(payload["per_point"]) == 4
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_full_report_memory_is_two_mb_per_thread(threads):
+    # each block allocates its two ~1 MB kernel buffers for itself, so the
+    # peak is a small base plus ~2 MB per block in flight, one per thread
+    data, labels = imbalance_dataset(10_000)
+    tracemalloc.start()
+    try:
+        full_report(data, labels, threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 + 2.5 * _workers(threads)) * 2**20, peak

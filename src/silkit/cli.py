@@ -23,18 +23,19 @@ from . import __version__
 from .clustering import KMeansConfig, global_kmeanspp
 from .core import Dataset, Labeling, canonicalize_labels
 from .experiments import (
+    NOISE_STUDY_BLOBS,
     NOISE_STUDY_PAD,
+    NOISE_STUDY_POINTS,
     NoiseStudyRow,
     NucleusStudyRow,
     noise_study,
     nucleus_study,
-    sample_study,
 )
 from .ingest import ColumnSchema, load_csv, read_dataset_csv, write_csv, write_dataset_csv
 from .kselect import SweepRow, sweep
-from .sampling import STRATEGIES, sample_and_score
+from .sampling import STRATEGIES, monte_carlo_study, sample_and_score
 from .silhouette import full_report
-from .synth import DEMO_CLUSTERS, DEMO_POINTS, add_background_noise, imbalance_dataset, separated_blobs
+from .synth import DEMO_POINTS, add_background_noise, imbalance_dataset, noise_count, separated_blobs
 
 PROFILES = ("even", "varied")
 NOISE_PAD = 0.10  # gen's default noise box padding per side
@@ -268,6 +269,9 @@ def cmd_noise_study(args) -> int:
     elif not any(args.levels):
         raise ValueError("--noise-pad sizes the noise box, so it needs a level above 0")
     _k_range(args)
+    level, base = min(args.levels), NOISE_STUDY_BLOBS * NOISE_STUDY_POINTS
+    n = base + noise_count(base, level / 100.0)  # the fewest rows a level sweeps
+    _at_most("--k-max", args.k_max, n - 1, f"one below the {n} rows at --levels {level:g}")
     rows = noise_study(
         args.levels,
         k_min=args.k_min,
@@ -286,14 +290,14 @@ def cmd_sample_study(args) -> int:
     _nonempty("--sizes", args.sizes)
     _at_least("--runs", args.runs, 1)
     _at_least("--nucleus", args.nucleus, DEMO_POINTS)
-    rows = args.nucleus + DEMO_POINTS * (DEMO_CLUSTERS - 1)
-    _sample_sizes("--sizes", args.sizes, rows, f"the {rows} rows at --nucleus {args.nucleus}")
-    result = sample_study(
+    data, labels = imbalance_dataset(args.nucleus, seed=args.seed)
+    _sample_sizes("--sizes", args.sizes, data.n, f"the {data.n} rows at --nucleus {args.nucleus}")
+    result = monte_carlo_study(
+        data,
+        labels,
         args.sizes,
         args.runs,
-        nucleus_total=args.nucleus,
-        seed=args.seed,
-        sample_seed_base=args.sample_seed_base,
+        seed_base=args.sample_seed_base,
         statistic=args.statistic,
         threads=args.threads,
     )

@@ -86,8 +86,8 @@ class KMeansResult:
             "k": self.labeling.k,
             "sse": self.sse,
             "iterations": self.iterations,
-            "centers": [[float(v) for v in row] for row in self.centers],
-            "labels": [int(v) for v in self.labeling.assignments],
+            "centers": self.centers.tolist(),
+            "labels": self.labeling.assignments.tolist(),
         }
 
 

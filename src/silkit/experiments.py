@@ -1,4 +1,4 @@
-"""Study drivers behind the CLI experiment commands.
+"""Study drivers behind the nucleus-study and noise-study commands.
 
 Each driver is a pure function of its arguments (seeds included), so every
 experiment is reproducible and the CLI layer only handles files. Thread
@@ -15,7 +15,6 @@ import numpy as np
 from .clustering import KMeansConfig
 from .core import _parallel_map
 from .kselect import sweep
-from .sampling import SampleStudyResult, monte_carlo_study
 from .silhouette import full_report
 from .synth import (
     NUCLEUS_CLUSTER,
@@ -30,7 +29,6 @@ __all__ = [
     "nucleus_study",
     "NoiseStudyRow",
     "noise_study",
-    "sample_study",
 ]
 
 # rng streams derived from one experiment seed (imbalance_dataset grows
@@ -131,27 +129,3 @@ def noise_study(
         )
 
     return _parallel_map(one, enumerate(levels_pct), threads)
-
-
-def sample_study(
-    sizes=(50, 100, 200, 400, 800),
-    runs: int = 30,
-    *,
-    nucleus_total: int = 10_000,
-    seed: int = 0,
-    sample_seed_base: int = 10,
-    statistic: str = "macro",
-    threads: int | None = None,
-) -> SampleStudyResult:
-    """Monte Carlo comparison of uniform vs cluster-balanced sampling on
-    the imbalance demo dataset, against the full-dataset score."""
-    data, labels = imbalance_dataset(nucleus_total, seed=seed)
-    return monte_carlo_study(
-        data,
-        labels,
-        sizes,
-        runs,
-        seed_base=sample_seed_base,
-        statistic=statistic,
-        threads=threads,
-    )

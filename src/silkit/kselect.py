@@ -78,9 +78,7 @@ def sweep(
                 data, labeling, sample_strategy, sample_size, config.rng_seed + k
             )
             if not scored.defined:
-                raise ValueError(
-                    f"subsample at k={k} lost all but one cluster; enlarge sample_size"
-                )
+                raise ValueError(f"subsample at k={k} lost all but one cluster; draw a larger sample")
             micro, macro = scored.micro_weighted, scored.report.macro
         else:
             report = full_report(data, labeling)

@@ -13,11 +13,14 @@ fewer than two clusters survive, the result is marked undefined rather than
 raising: on heavily imbalanced data a small uniform sample regularly lands
 inside a single cluster, and the study commands record that outcome.
 
-``_score_draws`` scores every draw: draws of one size L, as their row
-indices into the dataset's points, in one ``_score_runs`` call over the
-full labeling's cluster ids, each aggregated by ``silhouette._report``.
-``sample_and_score`` passes one draw; ``monte_carlo_study`` passes groups
-of g = ``BLOCK_ROWS // L`` (at least 1), whose g x L rows fit in one
+Every draw comes from one sampler: ``_sampler`` checks a (strategy, L)
+cell, fixes its quotas, and returns the cell's ``draw(seed)``. Every draw
+is scored by ``_score_draws``: draws of one size L, as their row indices
+into the dataset's points, in one ``_score_runs`` call over the full
+labeling's cluster ids, each aggregated by ``silhouette._report``.
+``sample_and_score`` makes and scores one draw; ``monte_carlo_study``
+builds one sampler per cell and scores its runs in groups of
+g = ``BLOCK_ROWS // L`` (at least 1), whose g x L rows fit in one
 kernel block, and scores the full dataset once for the reference. A
 group's runs share column slabs as wide as the largest count of each
 cluster among them; a run's pad columns add an exact 0.0, so every score
@@ -26,6 +29,7 @@ has the bits of its draw scored alone.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,35 +91,28 @@ def balanced_allocation(cluster_sizes: np.ndarray, budget: int) -> np.ndarray:
     return alloc
 
 
-def _check_sample(data: Dataset, labels: Labeling, strategy: str, size: int) -> None:
+def _sampler(data: Dataset, labels: Labeling, strategy: str, size: int) -> Callable[[int], np.ndarray]:
+    """Check one (strategy, size) cell and return its ``draw(seed)``: the
+    sorted row indices of one sample, from an rng seeded with ``seed``.
+    Uniform draws ``size`` indices without replacement over all rows;
+    balanced draws each cluster's ``balanced_allocation`` count from its
+    members, in cluster order from the same rng."""
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     if not 2 <= size <= data.n:
         raise ValueError(f"sample size must be in [2, {data.n}] (the dataset size), got {size}")
-    if strategy == "balanced" and labels.k < 2:
+    if strategy == "uniform":
+        return lambda seed: np.sort(np.random.default_rng(seed).choice(data.n, size=size, replace=False))
+    if labels.k < 2:
         raise ValueError("balanced sampling requires at least two clusters")
+    counts = balanced_allocation(labels.cluster_sizes(), size).tolist()
+    quotas = [(labels.members(c), q) for c, q in enumerate(counts)]
 
+    def draw(seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        return np.sort(np.concatenate([rng.choice(rows, size=q, replace=False) for rows, q in quotas]))
 
-def _quotas(members: list[np.ndarray], sizes: np.ndarray, size: int) -> list[tuple[np.ndarray, int]]:
-    """Each cluster's members and its ``balanced_allocation`` draw count."""
-    return list(zip(members, balanced_allocation(sizes, size).tolist()))
-
-
-def _members(labels: Labeling) -> list[np.ndarray]:
-    return [labels.members(c) for c in range(labels.k)]
-
-
-def _draw(n: int, size: int, seed: int, quotas: list[tuple[np.ndarray, int]] | None) -> np.ndarray:
-    """Sorted row indices of one sample, from an rng seeded with ``seed``:
-    without ``quotas`` (uniform), ``size`` draws without replacement over
-    all n rows; with them (balanced), each cluster's count from its
-    members, in cluster order from the same rng."""
-    rng = np.random.default_rng(seed)
-    if quotas is None:
-        indices = rng.choice(n, size=size, replace=False)
-    else:
-        indices = np.concatenate([rng.choice(rows, size=q, replace=False) for rows, q in quotas])
-    return np.sort(indices)
+    return draw
 
 
 def _score_draws(
@@ -144,14 +141,9 @@ def _score_draws(
 def sample_and_score(
     data: Dataset, labels: Labeling, strategy: str, size: int, seed: int
 ) -> SampleResult:
-    """Draw ``size`` row indices with ``strategy``, from an rng seeded with
-    ``seed``, and score the subsample: uniform draws without replacement
-    over all rows; balanced draws each cluster's ``balanced_allocation``
-    count from its members, in cluster order from the same rng."""
-    _check_sample(data, labels, strategy, size)
-    sizes = labels.cluster_sizes()
-    quotas = _quotas(_members(labels), sizes, size) if strategy == "balanced" else None
-    indices = _draw(data.n, size, seed, quotas)
+    """Draw ``size`` row indices with ``strategy`` (see ``_sampler``), from
+    an rng seeded with ``seed``, and score the subsample."""
+    indices = _sampler(data, labels, strategy, size)(seed)
     drawn = np.bincount(labels.assignments[indices], minlength=labels.k)
     report, micro_weighted = _score_draws(data, labels, [indices])[0] or (None, None)
     return SampleResult(indices, drawn, np.flatnonzero(drawn > 0), report, micro_weighted)
@@ -210,20 +202,16 @@ def monte_carlo_study(
         raise ValueError("runs must be >= 1")
     if statistic not in ("macro", "micro"):
         raise ValueError(f"unknown statistic: {statistic}")
-    full_sizes, members = labels.cluster_sizes(), _members(labels)
-    # each task draws and scores up to g runs of one cell, g x size rows
-    # within one block
+    cells = [(size, strategy) for size in sizes for strategy in STRATEGIES]
+    # each task draws and scores up to g runs of one cell: g x size rows, one block
     tasks = []
-    for size in sizes:
-        for strategy in STRATEGIES:
-            _check_sample(data, labels, strategy, size)
-            group = max(1, BLOCK_ROWS // size)
-            quotas = _quotas(members, full_sizes, size) if strategy == "balanced" else None
-            tasks += [(size, quotas, range(r, min(r + group, runs))) for r in range(0, runs, group)]
+    for size, strategy in cells:
+        draw, group = _sampler(data, labels, strategy, size), max(1, BLOCK_ROWS // size)
+        tasks += [(draw, range(r, min(r + group, runs))) for r in range(0, runs, group)]
 
     def score_group(task) -> list[float]:
-        size, quotas, group = task
-        draws = [_draw(data.n, size, seed_base + run, quotas) for run in group]
+        draw, group = task
+        draws = [draw(seed_base + run) for run in group]
         # micro re-weights the cluster means by full sizes: valid under either strategy
         return [
             float("nan") if scored is None else scored[0].macro if statistic == "macro" else scored[1]
@@ -234,27 +222,23 @@ def monte_carlo_study(
     full_score = report.macro if statistic == "macro" else report.micro
     flat = [score for scores in _parallel_map(score_group, tasks, threads) for score in scores]
 
-    cells = []
-    pos = 0
-    for size in sizes:
-        for strategy in STRATEGIES:
-            scores = np.array(flat[pos : pos + runs])
-            pos += runs
-            defined = scores[~np.isnan(scores)]
-            if len(defined) == 0:
-                median = wl = wh = float("nan")
-            else:
-                median = float(np.median(defined))
-                wl, wh = tukey_whiskers(defined)
-            cells.append(
-                MonteCarloCell(
-                    size=int(size),
-                    strategy=strategy,
-                    scores=scores,
-                    median=median,
-                    whisker_low=wl,
-                    whisker_high=wh,
-                    undefined_runs=int(np.isnan(scores).sum()),
-                )
+    summaries = []
+    for (size, strategy), scores in zip(cells, np.reshape(flat, (len(cells), runs))):
+        defined = scores[~np.isnan(scores)]
+        if len(defined) == 0:
+            median = wl = wh = float("nan")
+        else:
+            median = float(np.median(defined))
+            wl, wh = tukey_whiskers(defined)
+        summaries.append(
+            MonteCarloCell(
+                size=int(size),
+                strategy=strategy,
+                scores=scores,
+                median=median,
+                whisker_low=wl,
+                whisker_high=wh,
+                undefined_runs=int(np.isnan(scores).sum()),
             )
-    return SampleStudyResult(cells, full_score)
+        )
+    return SampleStudyResult(summaries, full_score)

@@ -56,8 +56,8 @@ class SilhouetteReport:
         return {
             "micro": self.micro,
             "macro": self.macro,
-            "per_cluster": [float(v) for v in self.per_cluster],
-            "per_point": [float(v) for v in self.per_point],
+            "per_cluster": self.per_cluster.tolist(),
+            "per_point": self.per_point.tolist(),
             "singleton_count": self.singleton_count,
         }
 

@@ -52,8 +52,6 @@ _DEMO_LAYOUT = (
     (-0.6283, -17.989, 1.37),
     (6.6, -11.4315, 1.58),
 )
-# Clusters of the imbalance demo, the nucleus among them.
-DEMO_CLUSTERS = len(_DEMO_LAYOUT)
 
 
 def generate_blobs(centers, stddevs, counts, seed: int = 0) -> tuple[Dataset, Labeling]:
@@ -157,9 +155,13 @@ def add_background_noise(
         return Dataset(data.points, truth_labels=base_truth)
     lo = data.points.min(axis=0)
     hi = data.points.max(axis=0)
-    span = hi - lo
-    lo = lo - pad * span
-    hi = hi + pad * span
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
+        span = hi - lo
+        lo = lo - pad * span
+        hi = hi + pad * span
+        width = hi - lo
+    if not np.isfinite(width).all():
+        raise ValueError(f"noise pad must keep the noise box finite, got {pad}")
     rng = np.random.default_rng(seed)
     noise = rng.uniform(lo, hi, size=(n, data.dim))
     points = np.vstack([data.points, noise])

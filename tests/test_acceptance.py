@@ -14,9 +14,10 @@ import pytest
 from silkit.cli import main as cli_main
 from silkit.clustering import KMeansConfig
 from silkit.core import Dataset, canonicalize_labels
-from silkit.experiments import noise_study, nucleus_study, sample_study
+from silkit.experiments import noise_study, nucleus_study
 from silkit.ingest import ColumnSchema, load_csv
 from silkit.kselect import sweep
+from silkit.sampling import monte_carlo_study
 from silkit.silhouette import full_report
 from silkit.synth import imbalance_dataset
 
@@ -105,9 +106,9 @@ def test_criterion_3_nucleus_growth():
 
 def test_criterion_4_sampling_monte_carlo():
     t0 = time.time()
-    result = sample_study(seed=0, threads=THREADS)
-    cells = {(c.size, c.strategy): c for c in result.cells}
     sizes = (50, 100, 200, 400, 800)
+    result = monte_carlo_study(*imbalance_dataset(10_000, seed=0), sizes, 30, seed_base=10, threads=THREADS)
+    cells = {(c.size, c.strategy): c for c in result.cells}
     for L in sizes:
         assert cells[(L, "balanced")].whisker_range <= cells[(L, "uniform")].whisker_range
     for strategy in ("balanced", "uniform"):

@@ -231,9 +231,8 @@ def test_sampled_sweep_losing_clusters_is_one_line_error(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert run(["sweep", "--data", str(data), "--k-min", "2", "--k-max", "4",
                 "--sample", "2", "--strategy", "uniform", "--seed", "1", "-o", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert "lost all but one cluster" in err[0]
+    # the line names no library parameter the CLI user cannot set
+    assert _one_error_line(capsys) == "error: subsample at k=2 lost all but one cluster; draw a larger sample"
     assert not out.exists()
 
 
@@ -504,6 +503,23 @@ def test_bad_noise_pad_is_one_line_error(tmp_path, capsys, argv, pad):
     out = tmp_path / "x.csv"
     assert run(argv + ["--noise-pad", pad, "-o", str(out)]) == 1
     assert _one_error_line(capsys) == f"error: noise pad must be a finite number >= 0, got {float(pad)}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "blobs", "--k", "2", "--n", "5", "--noise-pct", "50"],
+        ["noise-study", "--levels", "10", "--k-max", "3", "--threads", "1"],
+    ],
+    ids=["gen", "noise-study"],
+)
+def test_overflowing_noise_pad_is_one_line_error(tmp_path, capsys, argv):
+    # a finite pad whose noise box overflows: no RuntimeWarning (an error
+    # in this suite) and no traceback, one line naming the pad
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--noise-pad", "1e308", "-o", str(out)]) == 1
+    assert _one_error_line(capsys) == "error: noise pad must keep the noise box finite, got 1e+308"
     assert not out.exists()
 
 
@@ -816,6 +832,8 @@ def test_gen_nucleus_extra_records_the_varied_profile(tmp_path):
         (["sweep", "--data", "{data}", "--k-max", "30"], "--k-max must be at most 29 (one below the 30 rows), got 30"),
         (["sweep", "--data", "{data}", "--k-min", "5", "--k-max", "3"], "--k-max must be at least 5, got 3"),
         (["noise-study", "--levels", "0", "--k-max", "1", "--threads", "1"], "--k-max must be at least 2, got 1"),
+        (["noise-study", "--levels", "20,10", "--k-max", "900", "--threads", "1"],
+         "--k-max must be at most 888 (one below the 889 rows at --levels 10), got 900"),
         (["cluster", "--data", "{data}", "--k", "31"], "--k must be at most 30 (the 30 rows), got 31"),
         (["score", "--data", "{data}", "--sample", "1"], "--sample must be at least 2, got 1"),
         (["score", "--data", "{data}", "--sample", "31"], "--sample must be at most 30 (the 30 rows), got 31"),
@@ -828,7 +846,7 @@ def test_gen_nucleus_extra_records_the_varied_profile(tmp_path):
     ids=["gen-k", "gen-n", "cluster-k", "cluster-candidates", "sweep-candidates", "sample-study-nucleus",
          "sample-study-runs", "nucleus-study-sizes", "noise-study-levels", "nucleus-study-no-sizes",
          "sample-study-no-sizes", "noise-study-no-levels", "sweep-k-min", "sweep-k-max-rows",
-         "sweep-k-max-below-k-min", "noise-study-k-max", "cluster-k-rows", "score-sample-low",
+         "sweep-k-max-below-k-min", "noise-study-k-max", "noise-study-k-max-rows", "cluster-k-rows", "score-sample-low",
          "score-sample-rows", "sweep-sample-low", "sample-study-sizes-low", "sample-study-sizes-rows"],
 )
 def test_bad_flag_value_is_one_line_naming_the_flag(tmp_path, capsys, argv, message):

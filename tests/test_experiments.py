@@ -4,7 +4,8 @@ reproductions live in test_acceptance.py."""
 import numpy as np
 import pytest
 
-from silkit.experiments import noise_study, nucleus_study, sample_study
+from silkit.experiments import noise_study, nucleus_study
+from silkit.sampling import monte_carlo_study
 from silkit.synth import imbalance_dataset
 
 
@@ -51,7 +52,7 @@ def test_noise_study_counts():
 
 
 def test_sample_study_shapes():
-    res = sample_study(sizes=(60, 120), runs=4, nucleus_total=400, seed=0, threads=2)
+    res = monte_carlo_study(*imbalance_dataset(400, seed=0), (60, 120), 4, seed_base=10, threads=2)
     assert len(res.cells) == 4  # 2 sizes x 2 strategies
     for cell in res.cells:
         assert len(cell.scores) == 4
@@ -59,8 +60,9 @@ def test_sample_study_shapes():
 
 
 def test_sample_study_thread_invariance():
-    a = sample_study(sizes=(60,), runs=3, nucleus_total=300, seed=2, threads=1)
-    b = sample_study(sizes=(60,), runs=3, nucleus_total=300, seed=2, threads=4)
+    data, labels = imbalance_dataset(300, seed=2)
+    a = monte_carlo_study(data, labels, (60,), 3, seed_base=10, threads=1)
+    b = monte_carlo_study(data, labels, (60,), 3, seed_base=10, threads=4)
     assert a.full_score == b.full_score
     for ca, cb in zip(a.cells, b.cells):
         assert np.array_equal(ca.scores, cb.scores, equal_nan=True)

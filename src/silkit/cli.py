@@ -5,6 +5,9 @@ Every output file embeds its resolved configuration: CSV files as leading
 ``# key=value`` comment lines, JSON files under a ``config`` key. Re-running
 a command with the same arguments (and any ``--threads`` value) reproduces
 the file byte for byte. The SIL_SEED environment variable overrides --seed.
+
+Every failure, argparse's own included, is one ``error:`` line on stderr and
+exit code 1; ``--help`` and ``--version`` exit 0.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import warnings
 from dataclasses import asdict, astuple, fields
@@ -113,38 +117,40 @@ def _at_most(name: str, value, high, why: str) -> None:
         raise ValueError(f"{name} must be at most {high} ({why}), got {value}")
 
 
-def _sample_sizes(flag: str, sizes: list[int], high: int, why: str) -> None:
-    """Sample sizes of a sampled scoring, before any clustering or scoring."""
-    _at_least(flag, min(sizes), 2)
-    _at_most(flag, max(sizes), high, why)
+class _Parser(argparse.ArgumentParser):
+    """Argparse's own errors become one ``error:`` line with exit 1 in
+    ``main``; a failed ``_bounded`` check reads ``--k must be ...``."""
+
+    def error(self, message: str):
+        raise ValueError(re.sub(r"^argument (\S+): (?=must |needs )", r"\1 ", message))
 
 
-def _k_range(args) -> None:
-    """--k-min and --k-max of a sweep, before any data is read."""
-    _at_least("--k-min", args.k_min, 2)
-    _at_least("--k-max", args.k_max, args.k_min)
+def _bounded(kind, ok, bound: str, many: bool = False):
+    """A ``type=`` that parses one ``kind``, or with ``many`` a comma-separated
+    list of at least one, and rejects a value that fails ``ok``."""
+
+    def parse(text: str):
+        values = [kind(v) for v in text.split(",") if v] if many else [kind(text)]
+        if not values:
+            raise argparse.ArgumentTypeError("needs at least one value")
+        for value in values:
+            if not ok(value):
+                raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return values if many else values[0]
+
+    parse.__name__ = kind.__name__ + " list" * many  # argparse's "invalid int value: 'x'"
+    return parse
 
 
-def _nonempty(flag: str, values: list) -> None:
-    # after parsing: argparse would make a type error an exit-2 usage error
-    if not values:
-        raise ValueError(f"{flag} needs at least one value")
+def _int_from(low: int, many: bool = False):
+    return _bounded(int, lambda v: v >= low, f"at least {low}", many)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v]
+def _percent(many: bool = False):
+    return _bounded(float, lambda v: 0 <= v < 100, "in [0, 100)", many)
 
 
 def cmd_gen(args) -> int:
-    _at_least("--k", args.k, 1)
-    _at_least("--n", args.n, 1)
-    _at_least("--nucleus-extra", args.nucleus_extra, 0)
-    if not 0 <= args.noise_pct < 100:
-        raise ValueError(f"--noise-pct must be in [0, 100), got {args.noise_pct}")
     if args.profile is None:
         args.profile = "varied" if args.nucleus_extra > 0 else "even"
     elif args.profile == "even" and args.nucleus_extra > 0:
@@ -188,7 +194,7 @@ def cmd_score(args) -> int:
     labels = _load_labels(args, data)
     payload = {"config": _config(args)}
     if args.sample is not None:
-        _sample_sizes("--sample", [args.sample], data.n, f"the {data.n} rows")
+        _at_most("--sample", args.sample, data.n, f"the {data.n} rows")
         result = sample_and_score(data, labels, args.strategy, args.sample, args.seed)
         payload["sample"] = {
             "strategy": args.strategy,
@@ -211,8 +217,6 @@ def cmd_score(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    _at_least("--k", args.k, 1)
-    _at_least("--candidates", args.candidates, 1)
     data = _load_dataset(args)
     _at_most("--k", args.k, data.n, f"the {data.n} rows")
     config_obj = KMeansConfig(rng_seed=args.seed, n_candidates=args.candidates)
@@ -223,14 +227,13 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _at_least("--candidates", args.candidates, 1)
-    _k_range(args)
+    _at_least("--k-max", args.k_max, args.k_min)
     _resolve_strategy(args)
     data = _load_dataset(args)
     _at_most("--k-max", args.k_max, data.n - 1, f"one below the {data.n} rows")
     if args.sample is not None:
         why = f"one below the {data.n} rows; omit it to score in full"
-        _sample_sizes("--sample", [args.sample], data.n - 1, why)
+        _at_most("--sample", args.sample, data.n - 1, why)
     config_obj = KMeansConfig(rng_seed=args.seed, n_candidates=args.candidates)
     result = sweep(
         data, args.k_min, args.k_max, config_obj, sample_size=args.sample, sample_strategy=args.strategy
@@ -251,8 +254,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_nucleus_study(args) -> int:
-    _nonempty("--sizes", args.sizes)
-    _at_least("--sizes", min(args.sizes), DEMO_POINTS)
     rows = nucleus_study(args.sizes, seed=args.seed, threads=args.threads)
     _write_records(args.output, _config(args), NucleusStudyRow, rows)
     print(f"wrote {len(rows)} rows to {args.output}")
@@ -260,15 +261,11 @@ def cmd_nucleus_study(args) -> int:
 
 
 def cmd_noise_study(args) -> int:
-    _nonempty("--levels", args.levels)
-    for level in args.levels:
-        if not 0 <= level < 100:
-            raise ValueError(f"--levels must be in [0, 100), got {level}")
     if args.noise_pad is None:
         args.noise_pad = NOISE_STUDY_PAD  # the default, recorded at every level
     elif not any(args.levels):
         raise ValueError("--noise-pad sizes the noise box, so it needs a level above 0")
-    _k_range(args)
+    _at_least("--k-max", args.k_max, args.k_min)
     level, base = min(args.levels), NOISE_STUDY_BLOBS * NOISE_STUDY_POINTS
     n = base + noise_count(base, level / 100.0)  # the fewest rows a level sweeps
     _at_most("--k-max", args.k_max, n - 1, f"one below the {n} rows at --levels {level:g}")
@@ -287,11 +284,8 @@ def cmd_noise_study(args) -> int:
 
 
 def cmd_sample_study(args) -> int:
-    _nonempty("--sizes", args.sizes)
-    _at_least("--runs", args.runs, 1)
-    _at_least("--nucleus", args.nucleus, DEMO_POINTS)
     data, labels = imbalance_dataset(args.nucleus, seed=args.seed)
-    _sample_sizes("--sizes", args.sizes, data.n, f"the {data.n} rows at --nucleus {args.nucleus}")
+    _at_most("--sizes", max(args.sizes), data.n, f"the {data.n} rows at --nucleus {args.nucleus}")
     result = monte_carlo_study(
         data,
         labels,
@@ -317,7 +311,7 @@ def cmd_sample_study(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="silkit",
         description="Silhouette scoring (micro/macro), balanced sampling, and k estimation",
     )
@@ -327,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     # flags shared by every leaf command, by the dataset readers, and by the
     # threaded commands (score and the studies)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_int_from(0), default=0)
     common.add_argument("-o", "--output", required=True)
     dataset = argparse.ArgumentParser(add_help=False)
     dataset.add_argument("--data", required=True, help="dataset CSV (last column = label)")
@@ -335,73 +329,74 @@ def build_parser() -> argparse.ArgumentParser:
     dataset.add_argument("--prepared-out", help="write the preprocessed dataset CSV here for audit")
     study = argparse.ArgumentParser(add_help=False)
     study.add_argument(
-        "--threads", type=int, help="worker threads (default: all cores); outputs do not depend on it"
+        "--threads", type=_int_from(1), help="worker threads (default: all cores); outputs do not depend on it"
     )
 
     gen = sub.add_parser("gen", help="generate synthetic datasets")
     gen_sub = gen.add_subparsers(dest="generator", required=True)
     blobs = gen_sub.add_parser("blobs", parents=[common], help="isotropic Gaussian blobs")
-    blobs.add_argument("--k", type=int, default=4, help="number of clusters")
-    blobs.add_argument("--n", type=int, default=200, help="points per cluster")
+    blobs.add_argument("--k", type=_int_from(1), default=4, help="number of clusters")
+    blobs.add_argument("--n", type=_int_from(1), default=200, help="points per cluster")
     blobs.add_argument(
         "--profile",
         choices=PROFILES,
         help="even: equal blobs on a ring; varied: the 12-cluster imbalance demo",
     )
-    blobs.add_argument("--nucleus-extra", type=int, default=0, help="points added to the nucleus cluster (implies --profile varied)")
-    blobs.add_argument("--noise-pct", type=float, default=0.0, help="background noise level in percent")
+    blobs.add_argument("--nucleus-extra", type=_int_from(0), default=0, help="points added to the nucleus cluster (implies --profile varied)")
+    blobs.add_argument("--noise-pct", type=_percent(), default=0.0, help="background noise level in percent")
     blobs.add_argument("--noise-pad", type=float, help="noise box padding per side (fraction of span)")
-    blobs.add_argument("--stddev", type=float, help="blob stddev for the even profile")
+    stddev = _bounded(float, lambda v: 0 < v < float("inf"), "finite and above 0")
+    blobs.add_argument("--stddev", type=stddev, help="blob stddev for the even profile")
     blobs.set_defaults(func=cmd_gen)
 
     score = sub.add_parser(
         "score", parents=[common, dataset, study], help="silhouette report for a labeled dataset"
     )
     score.add_argument("--labels", help="optional label file overriding the CSV label column")
-    score.add_argument("--sample", type=int, help="score a subsample of this size")
+    score.add_argument("--sample", type=_int_from(2), help="score a subsample of this size")
     score.add_argument("--strategy", choices=STRATEGIES)
     score.set_defaults(func=cmd_score)
 
     cluster = sub.add_parser("cluster", parents=[common, dataset], help="global k-means++ clustering")
-    cluster.add_argument("--k", type=int, required=True)
-    cluster.add_argument("--candidates", type=int, default=10)
+    cluster.add_argument("--k", type=_int_from(1), required=True)
+    cluster.add_argument("--candidates", type=_int_from(1), default=10)
     cluster.set_defaults(func=cmd_cluster)
 
     sweep_p = sub.add_parser(
         "sweep", parents=[common, dataset], help="k-sweep with micro/macro silhouette scores"
     )
-    sweep_p.add_argument("--k-min", type=int, default=2)
+    sweep_p.add_argument("--k-min", type=_int_from(2), default=2)
     sweep_p.add_argument("--k-max", type=int, default=30)
-    sweep_p.add_argument("--sample", type=int, help="balanced-sample size for scoring each k")
+    sweep_p.add_argument("--sample", type=_int_from(2), help="balanced-sample size for scoring each k")
     sweep_p.add_argument("--strategy", choices=STRATEGIES)
-    sweep_p.add_argument("--candidates", type=int, default=10)
+    sweep_p.add_argument("--candidates", type=_int_from(1), default=10)
     sweep_p.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep_p.set_defaults(func=cmd_sweep)
 
     nucleus = sub.add_parser(
         "nucleus-study", parents=[common, study], help="imbalance attack: score vs nucleus size"
     )
-    nucleus.add_argument("--sizes", type=_int_list, default=[100, 500, 1000, 2000, 5000, 10000])
+    nucleus.add_argument("--sizes", type=_int_from(DEMO_POINTS, many=True), default=[100, 500, 1000, 2000, 5000, 10000])
     nucleus.set_defaults(func=cmd_nucleus_study)
 
     noise = sub.add_parser(
         "noise-study", parents=[common, study], help="estimated k per background-noise level"
     )
-    noise.add_argument("--levels", type=_float_list, default=[0, 10, 20, 30, 40, 50])
-    noise.add_argument("--k-min", type=int, default=2)
+    noise.add_argument("--levels", type=_percent(many=True), default=[0, 10, 20, 30, 40, 50])
+    noise.add_argument("--k-min", type=_int_from(2), default=2)
     noise.add_argument("--k-max", type=int, default=30)
-    noise.add_argument("--cluster-seed", type=int, default=5)
+    noise.add_argument("--cluster-seed", type=_int_from(0), default=5)
     noise.add_argument("--noise-pad", type=float)
     noise.set_defaults(func=cmd_noise_study)
 
     samples = sub.add_parser(
         "sample-study", parents=[common, study], help="uniform vs balanced sampling Monte Carlo"
     )
-    samples.add_argument("--sizes", type=_int_list, default=[50, 100, 200, 400, 800])
-    samples.add_argument("--runs", type=int, default=30)
-    samples.add_argument("--nucleus", type=int, default=10000, help="nucleus cluster size")
+    samples.add_argument("--sizes", type=_int_from(2, many=True), default=[50, 100, 200, 400, 800])
+    samples.add_argument("--runs", type=_int_from(1), default=30)
+    samples.add_argument("--nucleus", type=_int_from(DEMO_POINTS), default=10000, help="nucleus cluster size")
     samples.add_argument("--statistic", choices=("macro", "micro"), default="macro")
-    samples.add_argument("--sample-seed-base", type=int, default=10)
+    samples.add_argument("--sample-seed-base", type=_int_from(0), default=10)
     samples.add_argument("--summary", required=True)
     samples.set_defaults(func=cmd_sample_study)
 
@@ -409,11 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "threads", 1) is None:
             args.threads = os.cpu_count() or 1  # the default: all cores
-        _at_least("--threads", getattr(args, "threads", 1), 1)
         env_seed = os.environ.get("SIL_SEED")
         if env_seed:
             try:
@@ -421,8 +415,6 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ValueError(f"SIL_SEED must be an integer, got {env_seed!r}") from None
             _at_least("SIL_SEED", args.seed, 0)
-        for key in ("seed", "cluster_seed", "sample_seed_base"):
-            _at_least(f"--{key.replace('_', '-')}", getattr(args, key, 0), 0)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

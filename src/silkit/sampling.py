@@ -19,7 +19,8 @@ is scored by ``_score_draws``: draws of one size L, as their row indices
 into the dataset's points, in one ``_score_runs`` call over the full
 labeling's cluster ids, each aggregated by ``silhouette._report``.
 ``sample_and_score`` makes and scores one draw; ``monte_carlo_study``
-builds one sampler per cell and scores its runs in groups of
+builds one sampler per cell, all sharing one copy of each cluster's
+member rows, and scores its runs in groups of
 g = ``BLOCK_ROWS // L`` (at least 1), whose g x L rows fit in one
 kernel block, and scores the full dataset once for the reference. A
 group's runs share column slabs as wide as the largest count of each
@@ -91,12 +92,15 @@ def balanced_allocation(cluster_sizes: np.ndarray, budget: int) -> np.ndarray:
     return alloc
 
 
-def _sampler(data: Dataset, labels: Labeling, strategy: str, size: int) -> Callable[[int], np.ndarray]:
+def _sampler(
+    data: Dataset, labels: Labeling, strategy: str, size: int, members: list[np.ndarray] | None = None
+) -> Callable[[int], np.ndarray]:
     """Check one (strategy, size) cell and return its ``draw(seed)``: the
     sorted row indices of one sample, from an rng seeded with ``seed``.
     Uniform draws ``size`` indices without replacement over all rows;
     balanced draws each cluster's ``balanced_allocation`` count from its
-    members, in cluster order from the same rng."""
+    ``members`` (each cluster's rows; built here unless a study shares
+    them), in cluster order from the same rng."""
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     if not 2 <= size <= data.n:
@@ -105,8 +109,9 @@ def _sampler(data: Dataset, labels: Labeling, strategy: str, size: int) -> Calla
         return lambda seed: np.sort(np.random.default_rng(seed).choice(data.n, size=size, replace=False))
     if labels.k < 2:
         raise ValueError("balanced sampling requires at least two clusters")
-    counts = balanced_allocation(labels.cluster_sizes(), size).tolist()
-    quotas = [(labels.members(c), q) for c, q in enumerate(counts)]
+    if members is None:
+        members = [labels.members(c) for c in range(labels.k)]
+    quotas = list(zip(members, balanced_allocation(labels.cluster_sizes(), size).tolist()))
 
     def draw(seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -204,9 +209,10 @@ def monte_carlo_study(
         raise ValueError(f"unknown statistic: {statistic}")
     cells = [(size, strategy) for size in sizes for strategy in STRATEGIES]
     # each task draws and scores up to g runs of one cell: g x size rows, one block
+    members = [labels.members(c) for c in range(labels.k)]  # one copy for every balanced cell
     tasks = []
     for size, strategy in cells:
-        draw, group = _sampler(data, labels, strategy, size), max(1, BLOCK_ROWS // size)
+        draw, group = _sampler(data, labels, strategy, size, members), max(1, BLOCK_ROWS // size)
         tasks += [(draw, range(r, min(r + group, runs))) for r in range(0, runs, group)]
 
     def score_group(task) -> list[float]:

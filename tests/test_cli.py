@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from silkit import __version__
 from silkit.cli import build_parser, main
 
 
@@ -548,6 +549,48 @@ def test_negative_env_seed_is_one_line_error(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_negative_seed_is_one_line_error_under_env_seed(tmp_path, capsys, monkeypatch):
+    # SIL_SEED overrides --seed, but a bad --seed is bad whatever overrides it
+    monkeypatch.setenv("SIL_SEED", "5")
+    out = tmp_path / "x.csv"
+    assert run(["gen", "blobs", "--seed", "-1", "-o", str(out)]) == 1
+    assert _one_error_line(capsys) == "error: --seed must be at least 0, got -1"
+    assert not out.exists()
+
+
+# argparse's own errors: each is one line naming the flag or command, and
+# --version (None) prints the version and exits 0
+ARGPARSE_ENDINGS = [
+    (["gen", "blobs", "--bogus", "-o", "out.csv"], "--bogus"),
+    *[(argv, "-o/--output") for argv in LEAF_COMMANDS],
+    (["gen", "blobs", "--k", "x", "-o", "out.csv"], "--k: invalid int value: 'x'"),
+    (["sample-study", "--sizes", "5,abc", "--summary", "{summary}", "-o", "out.csv"], "--sizes"),
+    (["frob"], "'frob'"),
+    ([], "command"),
+    (["--version"], None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    ARGPARSE_ENDINGS,
+    ids=["unknown-flag", *(f"{argv[0]}-no-output" for argv in LEAF_COMMANDS), "k-not-int",
+         "sizes-not-int", "unknown-command", "no-command", "version"],
+)
+def test_argparse_error_is_one_line(tmp_path, capsys, monkeypatch, argv, named):
+    monkeypatch.chdir(tmp_path)
+    filled = [a.format(data="data.csv", summary="summary.csv") for a in argv]
+    if named is None:
+        with pytest.raises(SystemExit) as exit_info:
+            run(filled)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == f"silkit {__version__}\n"
+        return
+    assert run(filled) == 1
+    assert named in _one_error_line(capsys)
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "kinds, fault",
     [
@@ -842,17 +885,21 @@ def test_gen_nucleus_extra_records_the_varied_profile(tmp_path):
          "--sizes must be at least 2, got 1"),
         (["sample-study", "--sizes", "50,5000", "--nucleus", "100", "--threads", "1", "--summary", "{summary}"],
          "--sizes must be at most 1200 (the 1200 rows at --nucleus 100), got 5000"),
+        (["gen", "blobs", "--stddev", "-1"], "--stddev must be finite and above 0, got -1.0"),
+        (["gen", "blobs", "--stddev", "nan"], "--stddev must be finite and above 0, got nan"),
+        (["gen", "blobs", "--stddev", "inf"], "--stddev must be finite and above 0, got inf"),
     ],
     ids=["gen-k", "gen-n", "cluster-k", "cluster-candidates", "sweep-candidates", "sample-study-nucleus",
          "sample-study-runs", "nucleus-study-sizes", "noise-study-levels", "nucleus-study-no-sizes",
          "sample-study-no-sizes", "noise-study-no-levels", "sweep-k-min", "sweep-k-max-rows",
          "sweep-k-max-below-k-min", "noise-study-k-max", "noise-study-k-max-rows", "cluster-k-rows", "score-sample-low",
-         "score-sample-rows", "sweep-sample-low", "sample-study-sizes-low", "sample-study-sizes-rows"],
+         "score-sample-rows", "sweep-sample-low", "sample-study-sizes-low", "sample-study-sizes-rows",
+         "gen-stddev-negative", "gen-stddev-nan", "gen-stddev-inf"],
 )
 def test_bad_flag_value_is_one_line_naming_the_flag(tmp_path, capsys, argv, message):
-    # each bound is checked where the flag is parsed, so the line names the
-    # flag as typed, not a library parameter; an empty list is checked after
-    # parsing, as a type error there would be an exit-2 usage error
+    # a static bound (an empty list included) is checked as its flag is
+    # parsed, and a bound on another flag or on the data in its command;
+    # either way the line names the flag as typed, not a library parameter
     data, summary = tmp_path / "data.csv", tmp_path / "summary.csv"
     run(["gen", "blobs", "--k", "2", "--n", "15", "-o", str(data)])
     capsys.readouterr()

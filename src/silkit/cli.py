@@ -26,20 +26,19 @@ import numpy as np
 from . import __version__
 from .clustering import KMeansConfig, global_kmeanspp
 from .core import Dataset, Labeling, canonicalize_labels
-from .experiments import (
-    NOISE_STUDY_BLOBS,
-    NOISE_STUDY_PAD,
-    NOISE_STUDY_POINTS,
-    NoiseStudyRow,
-    NucleusStudyRow,
-    noise_study,
-    nucleus_study,
-)
 from .ingest import ColumnSchema, load_csv, read_dataset_csv, write_csv, write_dataset_csv
 from .kselect import SweepRow, sweep
 from .sampling import STRATEGIES, monte_carlo_study, sample_and_score
 from .silhouette import full_report
-from .synth import DEMO_POINTS, add_background_noise, imbalance_dataset, noise_count, separated_blobs
+from .synth import (
+    DEMO_POINTS,
+    NUCLEUS_CLUSTER,
+    add_background_noise,
+    imbalance_dataset,
+    noise_count,
+    randomize_except,
+    separated_blobs,
+)
 
 PROFILES = ("even", "varied")
 NOISE_PAD = 0.10  # gen's default noise box padding per side
@@ -72,9 +71,12 @@ def _write_records(path, config: dict, row_type, rows):
 
 
 def _write_json(path, payload: dict):
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    """Strict JSON: a non-finite number is an error, before the file opens."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"{path}: a NaN or infinite result cannot be written as JSON") from None
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _load_dataset(args) -> Dataset:
@@ -254,31 +256,59 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_nucleus_study(args) -> int:
-    rows = nucleus_study(args.sizes, seed=args.seed, threads=args.threads)
-    _write_records(args.output, _config(args), NucleusStudyRow, rows)
+    """Micro/macro scores of the randomized-except-nucleus labeling and the
+    ground-truth labeling, per nucleus size.
+
+    The relabeling of the non-nucleus points excludes the nucleus label, so
+    the nucleus stays pure while it grows: macro stays flat while micro
+    rises with the nucleus share. The sizes run in turn, each report on
+    --threads threads: the largest size is most of the work.
+    """
+    rows = []
+    for size in args.sizes:
+        data, truth = imbalance_dataset(size, seed=args.seed)  # the nucleus grows from seed + 1
+        rng = np.random.default_rng(args.seed + 2)  # the same relabeling at every size
+        randomized = randomize_except(truth, NUCLEUS_CLUSTER, rng)
+        reports = [full_report(data, labels, args.threads) for labels in (randomized, truth)]
+        rows.append([size, *(score for r in reports for score in (r.micro, r.macro))])
+    header = ["nucleus_size", "micro_randomized", "macro_randomized", "micro_truth", "macro_truth"]
+    write_csv(args.output, _config(args), header, rows)
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
 
+# noise-study's base layout: separated blobs of equal size
+NOISE_STUDY_BLOBS = 4
+NOISE_STUDY_POINTS = 200
+
+# The separated four-blob layout leaves most of the expanded box empty, so
+# background noise spread "uniformly in the data space" needs a wider field
+# than the default bounding-box pad.
+NOISE_STUDY_PAD = 0.75
+
+
 def cmd_noise_study(args) -> int:
+    """Estimated number of clusters per background-noise level: noise goes
+    into the same separated-blob dataset, the clusterer sweeps k, and both
+    aggregations pick their best k. The levels run in turn, each sweep's
+    reports on --threads threads."""
     if args.noise_pad is None:
         args.noise_pad = NOISE_STUDY_PAD  # the default, recorded at every level
     elif not any(args.levels):
         raise ValueError("--noise-pad sizes the noise box, so it needs a level above 0")
     _at_least("--k-max", args.k_max, args.k_min)
-    level, base = min(args.levels), NOISE_STUDY_BLOBS * NOISE_STUDY_POINTS
-    n = base + noise_count(base, level / 100.0)  # the fewest rows a level sweeps
-    _at_most("--k-max", args.k_max, n - 1, f"one below the {n} rows at --levels {level:g}")
-    rows = noise_study(
-        args.levels,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        seed=args.seed,
-        cluster_seed=args.cluster_seed,
-        noise_pad=args.noise_pad,
-        threads=args.threads,
-    )
-    _write_records(args.output, _config(args), NoiseStudyRow, rows)
+    base, base_labels = separated_blobs(NOISE_STUDY_BLOBS, NOISE_STUDY_POINTS, args.seed)
+    low = min(args.levels)
+    n = base.n + noise_count(base.n, low / 100.0)  # the fewest rows a level sweeps
+    _at_most("--k-max", args.k_max, n - 1, f"one below the {n} rows at --levels {low:g}")
+    config = KMeansConfig(rng_seed=args.cluster_seed)
+    rows = []
+    for i, level in enumerate(args.levels):
+        noisy = add_background_noise(base, base_labels, level / 100.0, args.seed + 10 + i, args.noise_pad)
+        result = sweep(noisy, args.k_min, args.k_max, config, threads=args.threads)
+        rows.append([float(level), noisy.n - base.n, result.argmax_micro, result.argmax_macro])
+    header = ["level_pct", "n_noise", "estimate_micro", "estimate_macro"]
+    write_csv(args.output, _config(args), header, rows)
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 

@@ -51,6 +51,7 @@ def sweep(
     *,
     sample_size: int | None = None,
     sample_strategy: str = "balanced",
+    threads: int | None = None,
 ) -> SweepResult:
     """Cluster for every k in [k_min, k_max] and score each solution.
 
@@ -59,6 +60,8 @@ def sweep(
     full cluster sizes. Each k draws its own subsample with seed
     ``config.rng_seed + k``. A sample of N or more points is an error,
     not a silent full scoring; the size is checked before any clustering.
+    Without it, each solution's ``full_report`` runs on ``threads`` threads,
+    which never changes a score.
     """
     if not 2 <= k_min <= k_max <= data.n - 1:
         raise ValueError(f"need 2 <= k_min <= k_max <= N-1, got [{k_min}, {k_max}] with N={data.n}")
@@ -81,7 +84,7 @@ def sweep(
                 raise ValueError(f"subsample at k={k} lost all but one cluster; draw a larger sample")
             micro, macro = scored.micro_weighted, scored.report.macro
         else:
-            report = full_report(data, labeling)
+            report = full_report(data, labeling, threads)
             micro, macro = report.micro, report.macro
         rows.append(SweepRow(k=k, micro=float(micro), macro=float(macro), sse=result.sse))
     return SweepResult(rows=tuple(rows))

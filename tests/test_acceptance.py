@@ -14,7 +14,6 @@ import pytest
 from silkit.cli import main as cli_main
 from silkit.clustering import KMeansConfig
 from silkit.core import Dataset, canonicalize_labels
-from silkit.experiments import noise_study, nucleus_study
 from silkit.ingest import ColumnSchema, load_csv
 from silkit.kselect import sweep
 from silkit.sampling import monte_carlo_study
@@ -22,6 +21,7 @@ from silkit.silhouette import full_report
 from silkit.synth import imbalance_dataset
 
 from naive import naive_silhouette
+from test_experiments import _study_rows
 
 THREADS = os.cpu_count() or 2
 
@@ -79,9 +79,9 @@ def test_criterion_2_balanced_equality():
     _report(2, time.time() - t0, f"micro == macro on 50 balanced instances, worst gap = {worst:.2e}")
 
 
-def test_criterion_3_nucleus_growth():
+def test_criterion_3_nucleus_growth(tmp_path):
     t0 = time.time()
-    rows = nucleus_study(seed=0, threads=THREADS)
+    rows = _study_rows(tmp_path, ["nucleus-study", "--seed", "0", "--threads", str(THREADS)])
     base_optimal = rows[0].micro_truth
     base_randomized = rows[0].micro_randomized
     assert abs(base_optimal - 0.74) <= 0.10
@@ -149,9 +149,9 @@ def test_criterion_5_k_estimation_sweep():
     )
 
 
-def test_criterion_6_noise_levels():
+def test_criterion_6_noise_levels(tmp_path):
     t0 = time.time()
-    rows = noise_study(seed=0, threads=THREADS)
+    rows = _study_rows(tmp_path, ["noise-study", "--seed", "0", "--threads", str(THREADS)])
     by_level = {r.level_pct: r for r in rows}
     assert set(by_level) == {0.0, 10.0, 20.0, 30.0, 40.0, 50.0}
     for r in rows:

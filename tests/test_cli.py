@@ -4,11 +4,12 @@ import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from silkit import __version__
+from silkit import __version__, cli
 from silkit.cli import build_parser, main
 
 
@@ -410,17 +411,38 @@ def test_outputs_embed_config_header(tmp_path):
     assert "# version=" in text
 
 
+STUDY_RERUNS = [
+    ["sample-study", "--sizes", "40,80", "--runs", "4", "--nucleus", "250", "--summary", "{summary}"],
+    ["nucleus-study", "--sizes", "100,200"],
+    ["noise-study", "--levels", "0,20", "--k-max", "5"],
+]
+
+
 def test_study_reruns_byte_identical_across_threads(tmp_path):
-    outs = []
-    for threads, name in ((1, "t1"), (3, "t3")):
-        runs_f = tmp_path / f"runs_{name}.csv"
-        summary_f = tmp_path / f"sum_{name}.csv"
-        assert run(["sample-study", "--sizes", "40,80", "--runs", "4", "--nucleus", "250",
-                    "--seed", "5", "--threads", str(threads),
-                    "-o", str(runs_f), "--summary", str(summary_f)]) == 0
-        outs.append((runs_f.read_bytes(), summary_f.read_bytes()))
-    # headers record the threads flag? they must not, to stay byte-identical
-    assert outs[0] == outs[1]
+    for argv in STUDY_RERUNS:
+        outs = []
+        for threads in ("1", "3"):
+            folder = tmp_path / f"{argv[0]}_{threads}"
+            folder.mkdir()
+            filled = [a.format(summary=folder / "summary.csv") for a in argv]
+            assert run([*filled, "--seed", "5", "--threads", threads, "-o", str(folder / "out.csv")]) == 0
+            outs.append({f.name: f.read_bytes() for f in folder.iterdir()})
+        # headers record the threads flag? they must not, to stay byte-identical
+        assert outs[0] == outs[1], argv[0]
+
+
+def test_non_finite_result_is_one_error_line_and_no_file(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "blobs.csv"
+    run(["gen", "blobs", "--k", "2", "--n", "10", "-o", str(data)])
+    capsys.readouterr()
+    nan_report = SimpleNamespace(to_dict=lambda: {"micro": float("nan")})
+    monkeypatch.setattr(cli, "full_report", lambda *args: nan_report)
+    out = tmp_path / "report.json"
+    assert run(["score", "--data", str(data), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {out}: a NaN or infinite result cannot be written as JSON"
+    ]
+    assert not out.exists()
 
 
 # the line for a size below 2, then each command's for a size above its bound

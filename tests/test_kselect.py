@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -78,6 +79,15 @@ def test_sweep_sampled_scoring():
     for fr, sr in zip(full.rows, sampled.rows):
         assert sr.sse == fr.sse
         assert abs(sr.macro - fr.macro) < 0.1
+
+
+def test_sweep_threads_bit_identical():
+    data, _ = separated_blobs(4, 60, 2)
+    config = KMeansConfig(rng_seed=3)
+    serial = sweep(data, 2, 7, config)
+    threaded = sweep(data, 2, 7, config, threads=2)
+    bits = [np.array([astuple(r) for r in result.rows]).tobytes() for result in (serial, threaded)]
+    assert bits[0] == bits[1]
 
 
 def test_sweep_rejects_bad_range():

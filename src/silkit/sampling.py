@@ -15,17 +15,18 @@ inside a single cluster, and the study commands record that outcome.
 
 Every draw comes from one sampler: ``_sampler`` checks a (strategy, L)
 cell, fixes its quotas, and returns the cell's ``draw(seed)``. Every draw
-is scored by ``_score_draws``: draws of one size L, as their row indices
-into the dataset's points, in one ``_score_runs`` call over the full
-labeling's cluster ids, each aggregated by ``silhouette._report``.
-``sample_and_score`` makes and scores one draw; ``monte_carlo_study``
-builds one sampler per cell, all sharing one copy of each cluster's
-member rows, and scores its runs in groups of
-g = ``BLOCK_ROWS // L`` (at least 1), whose g x L rows fit in one
-kernel block, and scores the full dataset once for the reference. A
-group's runs share column slabs as wide as the largest count of each
-cluster among them; a run's pad columns add an exact 0.0, so every score
-has the bits of its draw scored alone.
+is scored by ``_score_draws``: draws as their row indices into the
+dataset's points, over the full labeling's cluster ids, one
+``_score_runs`` call for each set of draws that share their per-cluster
+counts (the kernel scores only equal-count runs together), each run
+aggregated by ``silhouette._report``. ``sample_and_score`` makes and
+scores one draw; ``monte_carlo_study`` builds one sampler per cell, all
+sharing one copy of each cluster's member rows, draws its runs in tasks of
+g = ``BLOCK_ROWS // L`` (at least 1), whose g x L rows fit in one kernel
+block, and scores the full dataset once for the reference. Every draw of
+a balanced cell has the cell's counts, so a task is one call; a uniform
+draw rarely shares its counts and is usually scored alone. Every score has
+the bits of its draw scored alone.
 """
 
 from __future__ import annotations
@@ -123,23 +124,27 @@ def _sampler(
 def _score_draws(
     data: Dataset, labels: Labeling, draws: list[np.ndarray]
 ) -> list[tuple[SilhouetteReport, float] | None]:
-    """Score draws of one size in one ``_score_runs`` call: per draw, its
-    report, with its clusters in first-occurrence order, and their means
-    re-weighted by full cluster sizes (``SampleResult.micro_weighted``);
-    None when fewer than two clusters survive the draw."""
+    """Score draws, one ``_score_runs`` call per count vector, in input
+    order: per draw, its report, with its clusters in first-occurrence
+    order, and their means re-weighted by full cluster sizes
+    (``SampleResult.micro_weighted``); None when fewer than two clusters
+    survive the draw."""
     own, sizes = labels.assignments, labels.cluster_sizes()
     scored = [None] * len(draws)
-    defined = [j for j, rows in enumerate(draws) if (own[rows] != own[rows[0]]).any()]
-    if not defined:
-        return scored
-    rows = np.stack([draws[j] for j in defined])
-    sub_raws = own[rows]
-    per_point, counts = _score_runs(data.points, rows, sub_raws, labels.k)
-    for j, sub_raw, run_scores, run_counts in zip(defined, sub_raws, per_point, counts):
-        _, first = np.unique(sub_raw, return_index=True)
-        ids = sub_raw[np.sort(first)]
-        report = _report(run_scores, sub_raw, run_counts, ids)
-        scored[j] = (report, float((report.per_cluster * sizes[ids]).sum() / sizes[ids].sum()))
+    groups = {}
+    for j, rows in enumerate(draws):
+        counts = np.bincount(own[rows], minlength=labels.k)
+        if np.count_nonzero(counts) > 1:
+            groups.setdefault(tuple(counts.tolist()), []).append(j)
+    for key, group in groups.items():
+        rows = np.stack([draws[j] for j in group])
+        sub_raws, counts = own[rows], np.array(key)
+        per_point = _score_runs(data.points, rows, sub_raws, counts)
+        for j, sub_raw, run_scores in zip(group, sub_raws, per_point):
+            _, first = np.unique(sub_raw, return_index=True)
+            ids = sub_raw[np.sort(first)]
+            report = _report(run_scores, sub_raw, counts, ids)
+            scored[j] = (report, float((report.per_cluster * sizes[ids]).sum() / sizes[ids].sum()))
     return scored
 
 
@@ -209,6 +214,7 @@ def monte_carlo_study(
         raise ValueError(f"unknown statistic: {statistic}")
     cells = [(size, strategy) for size in sizes for strategy in STRATEGIES]
     # each task draws and scores up to g runs of one cell: g x size rows, one block
+    # (one kernel call when the runs share their counts, as balanced runs do)
     members = [labels.members(c) for c in range(labels.k)]  # one copy for every balanced cell
     tasks = []
     for size, strategy in cells:

@@ -13,11 +13,12 @@ Conventions (degenerate cases):
 
 One kernel scores every labeling: ``_score_runs`` scores g runs at once,
 each n row indices into one point matrix (with their own labels), and
-``_report`` aggregates one run. ``full_report`` is the one-run case,
-``arange(N)``; sampled scoring passes groups of equally sized draws, whose
-columns are padded to common slab widths with pads that add an exact 0.0,
-and whose absent clusters have an infinite mean distance and no entry in
-the report.
+``_report`` aggregates one run. Runs scored together share their cluster
+counts, so every run's slab for a cluster has one width. ``full_report``
+is the one-run case, ``arange(N)``; sampled scoring passes groups of draws
+with one count vector (every draw of a balanced cell; a uniform draw is
+usually scored alone), whose absent clusters have an infinite mean
+distance and no entry in the report.
 """
 
 from __future__ import annotations
@@ -80,72 +81,45 @@ def _scores_from_sums(sums: np.ndarray, own: np.ndarray, counts: np.ndarray) -> 
     return s
 
 
-def _columns(points: np.ndarray, rows: np.ndarray, own: np.ndarray, counts: np.ndarray):
-    """The kernel's columns for g runs of row indices into ``points``: each
-    run's rows sorted stably by cluster into slabs, slab c as wide as the
-    largest count of c, gathered once from the view ``points.T`` (no copy
-    of ``points`` or of its transpose) into a C-contiguous d x m x g array;
-    the m + 1 slab bounds; and the m x g mask of pad columns (all False
-    when no run has any)."""
-    g, n = own.shape
-    bounds = [0, *np.cumsum(counts.max(axis=0)).tolist()]
-    # run j's p-th member of cluster c goes to slot bounds[c] + p; a slot
-    # left empty is a pad, which repeats the run's first row, so its
-    # distances stay finite
-    run, order = np.arange(g)[:, None], np.argsort(own, axis=1, kind="stable")
-    shift = np.asarray(bounds[:-1]) - np.cumsum(counts, axis=1) + counts
-    index = np.full((g, bounds[-1]), -1)
-    index[run, shift[run, own[run, order]] + np.arange(n)] = rows[run, order]
-    pads = index.T < 0
-    np.copyto(index.T, rows[:, 0], where=pads)
-    return np.take(points.T, index.T, axis=1), bounds, pads
-
-
 def _score_runs(
-    points: np.ndarray, rows: np.ndarray, own: np.ndarray, k: int, threads: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point scores of g runs of n points each, scored together: the
-    one kernel behind ``full_report`` (one run of every point) and sampled
-    scoring (runs of one sample size).
+    points: np.ndarray, rows: np.ndarray, own: np.ndarray, counts: np.ndarray, threads: int | None = None
+) -> np.ndarray:
+    """Per-point scores of g runs of n points each that share their cluster
+    counts, scored together: the one kernel behind ``full_report`` (one run
+    of every point) and sampled scoring (draws with one count vector).
 
     ``rows`` (g x n) holds each run's row indices into the N x d ``points``
-    and ``own`` (g x n) their cluster ids in 0..k-1; runs may share rows,
-    and a run may miss clusters. Returns the g x n scores and the g x k
-    cluster counts of the runs.
+    and ``own`` (g x n) their cluster ids in 0..k-1, ``counts`` (k) the
+    members of each cluster in every run; runs may share rows, and a
+    cluster may have no members. Returns the g x n scores.
 
     Each run's rows are sorted stably by cluster into columns, so a row's
-    distances to a cluster are one slab. Slab c is as wide as the largest
-    count of c among the runs; a run with fewer members of c fills the rest
-    with pad columns, whose distances are set to an exact 0.0 (a call with
-    none skips that pass), so the slab sum stays the run's own member-order
-    chain (x + 0.0 == x). Blocks take up to ``BLOCK_ROWS // g`` rows of
-    every run at once (callers keep g x n within ``BLOCK_ROWS``, so a block
-    holds a run's whole row length when g > 1), against the columns in
-    tiles of ``TILE_ELEMS`` distances, so the kernel's two buffers, which
-    each block allocates for itself, stay near 1 MB each, ~2 MB a block.
-    Both kernel operands are coordinate-major and gathered from the view
-    ``points.T``: the columns once per call as d x m x g, and each block's
-    rows once as a C-contiguous d x g x h array, so every subtraction
-    streams a contiguous coordinate row and no tile copies or allocates. A
-    slab that spans tiles is folded: before each of its segments is summed,
-    its running sum is copied into the tile row just above the segment (a
-    spare row, or the previous slab's last row, already summed), so every
-    slab sum is one chain in member order whatever the block height, tile
-    width or run grouping. The kernel sets
-    numpy's ufunc buffer for its own calls; the tile's square roots, pad
-    zeroing and slab sums run at the caller's. With ``threads`` > 1 the
-    blocks, at most n / w rows tall, are scored by ``core._parallel_map``
-    on w = ``_workers(threads)`` threads, at most the cores; no state is
-    kept between blocks. Each block writes only its own rows, so the result
-    does not depend on the thread count either; None or 1 scores serially.
+    distances to cluster c are one slab, ``counts[c]`` wide in every run.
+    Blocks take up to ``BLOCK_ROWS // g`` rows of every run at once
+    (callers keep g x n within ``BLOCK_ROWS``, so a block holds a run's
+    whole row length when g > 1), against the columns in tiles of
+    ``TILE_ELEMS`` distances, so the kernel's two buffers, which each block
+    allocates for itself, stay near 1 MB each, ~2 MB a block. Both kernel
+    operands are coordinate-major and gathered from the view ``points.T``:
+    the columns once per call as d x n x g, and each block's rows once as a
+    C-contiguous d x g x h array, so every subtraction streams a contiguous
+    coordinate row and no tile copies or allocates. A slab that spans tiles
+    is folded: before each of its segments is summed, its running sum is
+    copied into the tile row just above the segment (a spare row, or the
+    previous slab's last row, already summed), so every slab sum is one
+    chain in member order whatever the block height, tile width or run
+    grouping. The kernel sets numpy's ufunc buffer for its own calls; the
+    tile's square roots and slab sums run at the caller's. With ``threads``
+    > 1 the blocks, at most n / w rows tall, are scored by
+    ``core._parallel_map`` on w = ``_workers(threads)`` threads, at most the
+    cores; no state is kept between blocks. Each block writes only its own
+    rows, so the result does not depend on the thread count either; None or
+    1 scores serially.
     """
-    g, n = own.shape
-    counts = np.bincount((own + k * np.arange(g)[:, None]).ravel(), minlength=g * k).reshape(g, k)
-    cols_t, bounds, pads = _columns(points, rows, own, counts)
-    m = bounds[-1]
-    # checked once: a call without pad columns (full_report, a group whose
-    # runs share their cluster counts) has nothing to zero
-    any_pads = bool(pads.any())
+    (g, n), k = own.shape, len(counts)
+    bounds = [0, *np.cumsum(counts).tolist()]
+    cols = np.take_along_axis(rows, np.argsort(own, axis=1, kind="stable"), axis=1)
+    cols_t = np.take(points.T, cols.T, axis=1)
 
     per_point = np.empty((g, n), dtype=np.float64)
     workers = _workers(threads)
@@ -155,7 +129,7 @@ def _score_runs(
     starts = list(range(0, n, step))
     if n - starts[-1] == 1:
         starts.pop()
-    # not capped at m: kernel buffers of one size (about 2 * TILE_ELEMS) let
+    # not capped at n: kernel buffers of one size (about 2 * TILE_ELEMS) let
     # many small calls in a row reuse each other's freed memory; a small
     # call touches only the pages its tile uses
     width = max(1, TILE_ELEMS // (g * step))
@@ -167,24 +141,20 @@ def _score_runs(
         work = np.empty((2 * width + 1) * g * (step + 1))
         sums = np.zeros((k, r))
         block = np.take(points.T, rows[:, lo:hi], axis=1)
-        for t0 in range(0, m, width):
-            t1 = min(t0 + width, m)
+        for t0 in range(0, n, width):
+            t1 = min(t0 + width, n)
             # row 0 is spare, the tile's distances are rows 1..t1-t0
             tile = work[: (t1 - t0 + 1) * r].reshape(-1, r)
             dist = _sq_distances(cols_t[:, t0:t1], block, work[r:])
             np.sqrt(dist, out=dist)
-            if any_pads:
-                dist[pads[t0:t1]] = 0.0
             for c in range(bisect_right(bounds, t0) - 1, bisect_left(bounds, t1)):
                 s, e = max(bounds[c], t0) - t0, min(bounds[c + 1], t1) - t0
                 tile[s] = sums[c]
                 np.add.reduce(tile[s : e + 1], axis=0, out=sums[c])
-        sums = sums.reshape(k, g, -1)
-        for j in range(g):
-            per_point[j, lo:hi] = _scores_from_sums(sums[:, j].T, own[j, lo:hi], counts[j])
+        per_point[:, lo:hi] = _scores_from_sums(sums.T, own[:, lo:hi].ravel(), counts).reshape(g, -1)
 
     _parallel_map(score_block, zip(starts, starts[1:] + [n]), threads)
-    return per_point, counts
+    return per_point
 
 
 def _report(per_point: np.ndarray, own: np.ndarray, counts: np.ndarray, ids: np.ndarray) -> SilhouetteReport:
@@ -203,7 +173,7 @@ def _report(per_point: np.ndarray, own: np.ndarray, counts: np.ndarray, ids: np.
 
 def full_report(data: Dataset, labels: Labeling, threads: int | None = None) -> SilhouetteReport:
     """Complete silhouette report for a labeled dataset: ``_score_runs``
-    with one run of every row, which has no pad columns. With
+    with one run of every row and the labeling's cluster sizes. With
     ``threads`` > 1 its blocks are scored on that many threads, at most the
     cores; the scores are the same bits at any block height, tile width and
     thread count.
@@ -212,6 +182,6 @@ def full_report(data: Dataset, labels: Labeling, threads: int | None = None) -> 
         raise ValueError("labeling length does not match dataset")
     if labels.k < 2:
         raise SilhouetteUndefinedError("silhouette requires at least two clusters")
-    own, k = labels.assignments, labels.k
-    per_point, counts = _score_runs(data.points, np.arange(data.n)[None], own[None], k, threads)
-    return _report(per_point[0], own, counts[0], np.arange(k))
+    own, counts = labels.assignments, labels.cluster_sizes()
+    per_point = _score_runs(data.points, np.arange(data.n)[None], own[None], counts, threads)
+    return _report(per_point[0], own, counts, np.arange(labels.k))

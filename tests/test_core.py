@@ -95,12 +95,14 @@ def test_kernel_bytes_do_not_depend_on_operand_layout(seed, d, m, r):
 
 def test_every_kernel_call_reads_contiguous_rows(monkeypatch):
     # each subtraction streams a C-contiguous coordinate row of rows_t in
-    # full_report, a padded sampled group, lloyd (with an empty-cluster
+    # full_report, sampled draws (uniform ones scored alone, equal-count
+    # balanced ones together, d x g x h rows), lloyd (with an empty-cluster
     # repair) and global k-means++
-    calls = []
+    calls, run_counts = [], []
 
     def recording(cols_t, rows_t, work=None):
         calls.append(all(row.flags.c_contiguous for row in rows_t))
+        run_counts.append(rows_t.shape[1] if rows_t.ndim == 3 else 1)
         return _sq_distances(cols_t, rows_t, work)
 
     for module in (silhouette, clustering):
@@ -110,9 +112,11 @@ def test_every_kernel_call_reads_contiguous_rows(monkeypatch):
     data, labels = Dataset(points), Labeling(raw, 3)
     silhouette.full_report(data, labels, threads=2)
     draws = [np.sort(rng.choice(90, size=12, replace=False)) for _ in range(4)]
+    draws += [sampling._sampler(data, labels, "balanced", 12)(seed) for seed in range(3)]
     assert all(len(np.unique(raw[rows])) > 1 for rows in draws)
     sampling._score_draws(data, labels, draws)
     n_scoring = len(calls)
+    assert max(run_counts) == 3
     lloyd(data, points[[0, 0, 40]], KMeansConfig())  # the two equal centers empty a cluster
     global_kmeanspp(data, 4, KMeansConfig(n_candidates=3))
     assert n_scoring >= 2 and len(calls) > n_scoring + 2
@@ -164,8 +168,8 @@ def test_unbuffered_restores_buffer_size(monkeypatch):
 
 def test_kernel_runs_its_calls_unbuffered_and_restores_the_callers(monkeypatch):
     # every kernel call runs its subtractions and squares with numpy's
-    # ufunc buffer at 256 elements, in full_report's tiles, a padded sampled
-    # group and lloyd (with an empty-cluster repair), and hands the caller
+    # ufunc buffer at 256 elements, in full_report's tiles, sampled draws
+    # and lloyd (with an empty-cluster repair), and hands the caller
     # back its own size, also when it raises
     spy, calls = _BufferSpy(), []
 
@@ -183,7 +187,7 @@ def test_kernel_runs_its_calls_unbuffered_and_restores_the_callers(monkeypatch):
     points, raw = rng.normal(size=(90, 3)), np.repeat([0, 1, 2], 30)
     data, labels = Dataset(points), Labeling(raw, 3)
     draws = [rng.choice(90, size=12, replace=False) for _ in range(4)]
-    assert len({tuple(np.bincount(raw[rows], minlength=3)) for rows in draws}) > 1  # padded
+    assert len({tuple(np.bincount(raw[rows], minlength=3)) for rows in draws}) > 1  # several calls
     default = np.getbufsize()
     np.setbufsize(16384)
     try:

@@ -1,7 +1,8 @@
 """Source rules of the package: every module uses each name it imports
 (the package's ``__init__.py`` is exempt, since its imports are its
-re-exports), only the distance kernel sets numpy's ufunc buffer, and only
-``core`` imports a thread module."""
+re-exports), only the distance kernel sets numpy's ufunc buffer, only the
+two callers that group runs by their cluster counts call the scoring
+kernel, and only ``core`` imports a thread module."""
 
 import ast
 from pathlib import Path
@@ -36,9 +37,9 @@ def test_unused_import_is_found():
     assert _unused_imports(source) == ["line 1: os", "line 2: c", "line 3: numpy"]
 
 
-def _setbufsize_callers(source: str) -> list[str]:
-    """The top-level functions (or "<module>") whose code calls
-    ``setbufsize``, by attribute (``np.setbufsize``) or by name."""
+def _callers(source: str, callee: str) -> list[str]:
+    """The top-level functions (or "<module>") whose code calls ``callee``,
+    by attribute (``np.setbufsize``) or by name."""
     callers = []
     for top in ast.parse(source).body:
         named = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -47,7 +48,7 @@ def _setbufsize_callers(source: str) -> list[str]:
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "setbufsize":
+                if name == callee:
                     callers.append(owner)
     return callers
 
@@ -58,7 +59,7 @@ def test_only_the_kernel_sets_the_ufunc_buffer():
     callers = {
         f"{path.stem}.{owner}"
         for path in SRC.glob("*.py")
-        for owner in _setbufsize_callers(path.read_text())
+        for owner in _callers(path.read_text(), "setbufsize")
     }
     assert callers == {"core._sq_distances"}
 
@@ -70,7 +71,18 @@ def test_setbufsize_caller_is_found():
         "def caller():\n    with x:\n        setbufsize(256)\n"
         "np.setbufsize(256)\n"
     )
-    assert _setbufsize_callers(source) == ["kernel", "caller", "<module>"]
+    assert _callers(source, "setbufsize") == ["kernel", "caller", "<module>"]
+
+
+def test_only_equal_count_callers_score_runs():
+    # _score_runs scores together only runs that share their cluster counts:
+    # full_report passes one run, _score_draws one group per count vector
+    callers = {
+        f"{path.stem}.{owner}"
+        for path in SRC.glob("*.py")
+        for owner in _callers(path.read_text(), "_score_runs")
+    }
+    assert callers == {"silhouette.full_report", "sampling._score_draws"}
 
 
 THREAD_MODULES = ("threading", "concurrent.futures")

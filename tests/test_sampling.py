@@ -236,8 +236,8 @@ def _one_at_a_time(data, labels, cell, runs, seed_base, statistic):
 def test_monte_carlo_cells_bit_equal_to_single_runs(
     seed, cluster_sizes, d, sample_sizes, runs, statistic, block_rows, threads
 ):
-    # each cell scores its runs in groups of BLOCK_ROWS // L through one
-    # kernel call, padding the slabs to the group's widest counts; every
+    # each cell draws its runs in groups of BLOCK_ROWS // L and scores the
+    # runs of a group that share their counts through one kernel call; every
     # score keeps the bits of the run scored alone. Singleton clusters,
     # duplicate points (integer coordinates), runs that lose all but one
     # cluster, L > BLOCK_ROWS and run counts that are no multiple of the
@@ -259,6 +259,59 @@ def test_monte_carlo_cells_bit_equal_to_single_runs(
             expected = _one_at_a_time(data, labels, cell, runs, seed, statistic)
             assert cell.scores.tobytes() == expected.tobytes()
             assert cell.undefined_runs == int(np.isnan(expected).sum())
+
+
+def _counting_score_runs(calls):
+    """``_score_runs`` that records each call's run count and counts."""
+    real = sampling._score_runs
+
+    def counting(points, rows, own, counts, threads=None):
+        calls.append((len(rows), counts.tolist()))
+        return real(points, rows, own, counts, threads)
+
+    return counting
+
+
+def test_score_draws_groups_equal_counts_in_input_order():
+    # draws with counts A, B, A and an undefined draw: one kernel call for
+    # each count vector (A's two runs together), and every draw comes back
+    # in its input place with the bits of its own full_report
+    rng = np.random.default_rng(3)
+    raw = rng.permutation(np.repeat([0, 1, 2], 10))
+    data, labels = Dataset(rng.normal(size=(30, 2))), Labeling(raw, 3)
+    members = [labels.members(c) for c in range(3)]
+
+    def draw(counts):
+        return np.sort(np.concatenate([rng.choice(m, size=q, replace=False) for m, q in zip(members, counts)]))
+
+    draws = [draw((3, 2, 1)), draw((2, 3, 1)), draw((3, 2, 1)), draw((2, 0, 0))]
+    calls = []
+    with mock.patch.object(sampling, "_score_runs", _counting_score_runs(calls)):
+        scored = sampling._score_draws(data, labels, draws)
+    assert calls == [(2, [3, 2, 1]), (1, [2, 3, 1])]
+    assert scored[3] is None
+    for rows, (report, _) in zip(draws, scored[:3]):
+        alone = full_report(Dataset(data.points[rows]), canonicalize_labels(raw[rows]))
+        assert report.per_point.tobytes() == alone.per_point.tobytes()
+        assert report.per_cluster.tobytes() == alone.per_cluster.tobytes()
+
+
+def test_monte_carlo_kernel_calls_per_cell():
+    # every balanced draw of a cell has the cell's counts, so L=50 scores its
+    # 30 runs in two calls (BLOCK_ROWS // 50 = 20 runs, then 10); uniform
+    # draws with distinct counts are one call each
+    data, labels = imbalance_dataset(1000, seed=0)
+    runs, seed_base = 30, 1
+    uniform = sampling._sampler(data, labels, "uniform", 50)
+    own = labels.assignments
+    drawn = {tuple(np.bincount(own[uniform(seed_base + r)], minlength=labels.k)) for r in range(runs)}
+    assert len(drawn) == runs
+    calls = []
+    with mock.patch.object(sampling, "_score_runs", _counting_score_runs(calls)):
+        monte_carlo_study(data, labels, [50], runs, seed_base=seed_base)
+    balanced = balanced_allocation(labels.cluster_sizes(), 50).tolist()
+    assert [g for g, counts in calls if counts == balanced] == [20, 10]
+    assert [g for g, counts in calls if counts != balanced] == [1] * runs
 
 
 def test_monte_carlo_cells_past_one_block_bit_equal_to_single_runs():

@@ -273,26 +273,27 @@ def test_full_report_tiles_bit_identical(seed, n, d, height, width, threads):
     threads=st.integers(1, 3),
 )
 def test_score_runs_bit_identical_to_each_run_alone(seed, g, n, d, k, height, width, threads):
-    # g runs of row indices into one point matrix, scored at once, with rows
-    # shared between runs, pad columns where their cluster counts differ
-    # (repeating a run's first row, which other runs may share) and clusters
-    # absent from some runs, give every run the bits of its own full_report
+    # g runs of row indices into one point matrix, each a shuffle of one
+    # label multiset (the kernel scores only runs that share their cluster
+    # counts), scored at once, with rows shared between runs and clusters
+    # absent from every run, give every run the bits of its own full_report
     # at any block height, tile width and thread count
     rng = np.random.default_rng(seed)
     points = rng.integers(-3, 4, size=(n + 5, d)).astype(np.float64)
     rows = np.stack([rng.choice(len(points), size=n, replace=False) for _ in range(g)])
-    own = rng.integers(0, k, size=(g, n))
-    own[:, :2] = rng.permutation(k)[:2]  # two clusters in every run
-    tile_elems = (1 + int(width * (n * k - 1))) * g * max(2, height)
+    ids = np.delete(np.arange(k + 1), rng.integers(k + 1))  # one of k + 1 clusters absent, maybe more
+    labels = rng.choice(ids, size=n)
+    labels[:2] = rng.permutation(ids)[:2]  # two clusters in every run
+    own = np.stack([rng.permutation(labels) for _ in range(g)])
+    tile_elems = (1 + int(width * (n - 1))) * g * max(2, height)
     with (
         mock.patch.object(silhouette, "BLOCK_ROWS", g * height),
         mock.patch.object(silhouette, "TILE_ELEMS", tile_elems),
     ):
-        per_point, counts = silhouette._score_runs(points, rows, own, k, threads)
+        per_point = silhouette._score_runs(points, rows, own, np.bincount(labels, minlength=k + 1), threads)
     for j in range(g):
         alone = full_report(Dataset(points[rows[j]]), canonicalize_labels(own[j]))
         assert per_point[j].tobytes() == alone.per_point.tobytes()
-        assert counts[j].tolist() == np.bincount(own[j], minlength=k).tolist()
 
 
 @pytest.mark.parametrize("threads", [None, 3])

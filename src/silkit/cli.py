@@ -65,11 +65,6 @@ def _config(args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _write_records(path, config: dict, row_type, rows):
-    """CSV of dataclass records: the field names, then one row per record."""
-    write_csv(path, config, [f.name for f in fields(row_type)], [astuple(r) for r in rows])
-
-
 def _write_json(path, payload: dict):
     """Strict JSON: a non-finite number is an error, before the file opens."""
     try:
@@ -82,6 +77,8 @@ def _write_json(path, payload: dict):
 def _load_dataset(args) -> Dataset:
     """Read a dataset: the canonical points+label CSV, or any CSV through
     the preprocessing pipeline when --schema is given."""
+    if args.prepared_out and not args.schema:
+        raise ValueError("--prepared-out writes the --schema preprocessing, so it needs --schema")
     if args.schema:
         data = load_csv(args.data, ColumnSchema.from_file(args.schema))
         if args.prepared_out:
@@ -247,7 +244,7 @@ def cmd_sweep(args) -> int:
         payload = {"config": config, "rows": rows, "argmax_micro": micro, "argmax_macro": macro}
         _write_json(args.output, payload)
     else:
-        _write_records(args.output, config, SweepRow, result.rows)
+        write_csv(args.output, config, [f.name for f in fields(SweepRow)], map(astuple, result.rows))
     print(
         f"swept k in [{args.k_min}, {args.k_max}]: argmax_micro={micro} "
         f"argmax_macro={macro} -> {args.output}"
@@ -313,6 +310,11 @@ def cmd_noise_study(args) -> int:
     return 0
 
 
+def _blank_nan(value):
+    """A CSV cell: an undefined (NaN) score or statistic is left empty."""
+    return "" if isinstance(value, float) and np.isnan(value) else value
+
+
 def cmd_sample_study(args) -> int:
     data, labels = imbalance_dataset(args.nucleus, seed=args.seed)
     _at_most("--sizes", max(args.sizes), data.n, f"the {data.n} rows at --nucleus {args.nucleus}")
@@ -328,13 +330,13 @@ def cmd_sample_study(args) -> int:
     config = _config(args)
     config["full-score"] = result.full_score
     run_rows = [
-        [cell.size, cell.strategy, run, "" if np.isnan(score) else score, not np.isnan(score)]
+        [cell.size, cell.strategy, run, _blank_nan(score), not np.isnan(score)]
         for cell in result.cells
         for run, score in enumerate(cell.scores)
     ]
     write_csv(args.output, config, ["L", "strategy", "run", "score", "defined"], run_rows)
     stats = ["median", "whisker_low", "whisker_high", "whisker_range", "undefined_runs"]
-    summary_rows = [[c.size, c.strategy, *(getattr(c, s) for s in stats)] for c in result.cells]
+    summary_rows = [[c.size, c.strategy, *(_blank_nan(getattr(c, s)) for s in stats)] for c in result.cells]
     write_csv(args.summary, config, ["L", "strategy", *stats], summary_rows)
     print(f"wrote {len(run_rows)} runs to {args.output} and summary to {args.summary}")
     return 0

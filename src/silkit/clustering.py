@@ -21,8 +21,9 @@ Why that is exact: every distance in play is below R, the diagonal of the
 box around the points and initial centers widened by how far rounding can
 carry a mean out of it. Computed distances are within (d/2 + 2) 2**-53 R and
 each update's subtraction from l rounds once, so after T updates the test's
-floats are off by under (3d + T + 11) 2**-53 R. delta = (3d + max_iters + 16)
-2**-40 R is 8,192 times that: a kept point's center is nearer than any other
+floats are off by under (3d + T + 11) 2**-53 R, and T is at most the constant
+``KMeansConfig.max_iters`` (300). delta = (3d + max_iters + 16) 2**-40 R is
+8,192 times that bound: a kept point's center is nearer than any other
 by more than the kernel's rounding, so a full row gives the same label,
 untied. Points within delta of a tie are always recomputed.
 
@@ -38,6 +39,7 @@ full step's bits; a candidate that would empty a cluster runs the full step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,19 +55,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KMeansConfig:
-    """Lloyd and candidate settings; a run's k comes from its initial
-    centers (``lloyd``) or ``k_max`` (``global_kmeanspp``)."""
+    """Candidate settings; a run's k comes from its initial centers
+    (``lloyd``) or ``k_max`` (``global_kmeanspp``). Lloyd's stopping rule
+    is part of the algorithm, not a setting: at most ``max_iters`` updates,
+    and a stop once an update improves the SSE by at most ``tol`` of it."""
 
-    max_iters: int = 300
-    tol: float = 1e-6
+    max_iters: ClassVar[int] = 300
+    tol: ClassVar[float] = 1e-6
     rng_seed: int = 0
     n_candidates: int = 10
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
         if self.n_candidates < 1:
             raise ValueError("n_candidates must be >= 1")
 

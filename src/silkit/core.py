@@ -152,13 +152,12 @@ def _workers(threads: int | None) -> int:
     return max(1, min(threads or 1, os.cpu_count() or 1))
 
 
-def _parallel_map(fn, items, threads: int | None) -> list:
-    """``[fn(x) for x in items]``, on ``_workers(threads)`` threads when
-    that is more than one.
+def _parallel_map(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, on ``workers`` threads (a count from
+    ``_workers``) when that is more than one.
 
     Results come back in input order, so they never depend on scheduling.
     """
-    workers = _workers(threads)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))

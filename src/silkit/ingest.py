@@ -151,9 +151,8 @@ def load_csv(path, schema: ColumnSchema) -> Dataset:
     span = x.max(axis=0) - lo
     constant = span == 0
     span[constant] = 1.0
-    x -= lo
+    x -= lo  # a constant column is now all +0.0, and stays so over span 1.0
     x /= span
-    x[:, constant] = 0.0
 
     labels = None
     if label_col is not None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Labeling, _parallel_map
+from .core import Dataset, Labeling, _parallel_map, _workers
 from .silhouette import BLOCK_ROWS, SilhouetteReport, _report, _score_runs, full_report
 
 __all__ = [
@@ -232,7 +232,7 @@ def monte_carlo_study(
 
     report = full_report(data, labels, threads)
     full_score = report.macro if statistic == "macro" else report.micro
-    flat = [score for scores in _parallel_map(score_group, tasks, threads) for score in scores]
+    flat = [score for scores in _parallel_map(score_group, tasks, _workers(threads)) for score in scores]
 
     summaries = []
     for (size, strategy), scores in zip(cells, np.reshape(flat, (len(cells), runs))):

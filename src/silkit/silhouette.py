@@ -75,8 +75,7 @@ def _scores_from_sums(sums: np.ndarray, own: np.ndarray, counts: np.ndarray) -> 
     b = means.min(axis=1)
     denom = np.maximum(a, b)
     safe = np.where(denom > 0, denom, 1.0)
-    s = (b - a) / safe
-    s[denom == 0.0] = 0.0
+    s = (b - a) / safe  # a = b = 0 where denom is 0: s is +0.0 there
     s[singleton] = 0.0
     return s
 
@@ -153,7 +152,7 @@ def _score_runs(
                 np.add.reduce(tile[s : e + 1], axis=0, out=sums[c])
         per_point[:, lo:hi] = _scores_from_sums(sums.T, own[:, lo:hi].ravel(), counts).reshape(g, -1)
 
-    _parallel_map(score_block, zip(starts, starts[1:] + [n]), threads)
+    _parallel_map(score_block, zip(starts, starts[1:] + [n]), workers)
     return per_point
 
 

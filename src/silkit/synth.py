@@ -123,14 +123,11 @@ def randomize_except(labels: Labeling, keep_cluster: int, rng: np.random.Generat
     mask = out != keep_cluster
     choices = np.array([c for c in range(k) if c != keep_cluster], dtype=np.int64)
     out[mask] = choices[rng.integers(0, k - 1, size=int(mask.sum()))]
-    out[~mask] = keep_cluster
     return canonicalize_labels(out)
 
 
 def noise_count(n_points: int, level: float) -> int:
     """Number of noise rows, rounded half up, so that noise/(noise + N) is the level."""
-    if level == 0.0:
-        return 0
     return int(np.floor(level * n_points / (1.0 - level) + 0.5))
 
 

@@ -330,6 +330,15 @@ def test_sample_study_cli_small(tmp_path):
     assert len(summary_rows) == 1 + 4
 
 
+def test_sample_study_cell_without_defined_run_has_empty_statistics(tmp_path):
+    # at L=2 both strategies draw only nucleus points, so no run is defined
+    runs_f, summary_f = tmp_path / "runs.csv", tmp_path / "summary.csv"
+    assert run(["sample-study", "--sizes", "2", "--runs", "1", "--nucleus", "1000", "--threads", "1",
+                "-o", str(runs_f), "--summary", str(summary_f)]) == 0
+    assert _rows(summary_f)[1:] == ["2,uniform,,,,,1", "2,balanced,,,,,1"]
+    assert _rows(runs_f)[1:] == ["2,uniform,0,,False", "2,balanced,0,,False"]
+
+
 def test_noise_study_cli_small(tmp_path):
     out = tmp_path / "noise.csv"
     assert run(["noise-study", "--levels", "0", "--k-min", "2", "--k-max", "5",
@@ -862,6 +871,20 @@ def test_argument_that_shapes_nothing_is_one_line_error(tmp_path, capsys, argv, 
     assert run([a.format(data=data) for a in argv] + ["-o", str(out)]) == 1
     assert _one_error_line(capsys) == f"error: {message}"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["score"], ["cluster", "--k", "2"], ["sweep", "--k-max", "3"]])
+def test_prepared_out_without_schema_is_one_line_error(tmp_path, capsys, command):
+    data = tmp_path / "data.csv"
+    run(["gen", "blobs", "--k", "2", "--n", "15", "-o", str(data)])
+    capsys.readouterr()
+    out, prepared = tmp_path / "out.json", tmp_path / "prepared.csv"
+    argv = [*command, "--data", str(data), "--prepared-out", str(prepared), "-o", str(out)]
+    assert run(argv) == 1
+    assert _one_error_line(capsys) == (
+        "error: --prepared-out writes the --schema preprocessing, so it needs --schema"
+    )
+    assert not out.exists() and not prepared.exists()
 
 
 def test_gen_nucleus_extra_records_the_varied_profile(tmp_path):

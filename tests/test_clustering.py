@@ -1,4 +1,6 @@
+import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,10 +40,10 @@ def test_lloyd_sse_monotone_in_iterations():
     rng = np.random.default_rng(1)
     data = Dataset(rng.normal(size=(120, 2)) * 3)
     init = data.points[:5]
-    sses = [
-        lloyd(data, init, KMeansConfig(max_iters=m, tol=0.0)).sse
-        for m in range(1, 12)
-    ]
+    sses = []
+    for m in range(1, 12):
+        with mock.patch.multiple(KMeansConfig, max_iters=m, tol=0.0):
+            sses.append(lloyd(data, init, KMeansConfig()).sse)
     assert all(b <= a + 1e-9 for a, b in zip(sses, sses[1:]))
 
 
@@ -128,14 +130,16 @@ KINDS = st.sampled_from(["continuous", "duplicates", "grid", "line", "mirror"])
 )
 def test_lloyd_bit_identical_to_reference(seed, d, kind, tol, max_iters):
     points, init = _lloyd_case(seed, d, kind)
-    data, config = Dataset(points), KMeansConfig(max_iters=max_iters, tol=tol)
+    data, config = Dataset(points), KMeansConfig()
     try:
         centers, labels, sse, iterations = reference_lloyd(points, init, max_iters, tol)
     except ValueError:
         with pytest.raises(ValueError, match="distinct points"):
-            lloyd(data, init, config)
+            with mock.patch.multiple(KMeansConfig, max_iters=max_iters, tol=tol):
+                lloyd(data, init, config)
         return
-    result = lloyd(data, init, config)
+    with mock.patch.multiple(KMeansConfig, max_iters=max_iters, tol=tol):
+        result = lloyd(data, init, config)
     assert np.array_equal(result.centers, centers)
     assert np.array_equal(result.labeling.assignments, labels)
     assert result.sse == sse
@@ -154,15 +158,17 @@ def test_lloyd_one_dim_matches_reference(seed, kind, tol, max_iters):
     # centers move in the last ulp and can flip an exact tie; a zero second
     # column makes the reference sum in index order with the same distances
     points, init = _lloyd_case(seed, 1, kind)
-    data, config = Dataset(points), KMeansConfig(max_iters=max_iters, tol=tol)
+    data, config = Dataset(points), KMeansConfig()
     padded = [np.hstack([a, np.zeros_like(a)]) for a in (points, init)]
     try:
         centers, labels, sse, iterations = reference_lloyd(*padded, max_iters, tol)
     except ValueError:
         with pytest.raises(ValueError, match="distinct points"):
-            lloyd(data, init, config)
+            with mock.patch.multiple(KMeansConfig, max_iters=max_iters, tol=tol):
+                lloyd(data, init, config)
         return
-    result = lloyd(data, init, config)
+    with mock.patch.multiple(KMeansConfig, max_iters=max_iters, tol=tol):
+        result = lloyd(data, init, config)
     assert np.array_equal(result.centers[:, 0], centers[:, 0])
     assert np.array_equal(result.labeling.assignments, labels)
     assert result.sse == pytest.approx(sse, rel=1e-12, abs=1e-300)
@@ -192,7 +198,8 @@ def test_lloyd_converged_flag():
     data = Dataset(rng.normal(size=(200, 2)))
     init = data.points[:6]
     assert lloyd(data, init, KMeansConfig()).converged
-    short = lloyd(data, init, KMeansConfig(max_iters=1, tol=0.0))
+    with mock.patch.multiple(KMeansConfig, max_iters=1, tol=0.0):
+        short = lloyd(data, init, KMeansConfig())
     assert short.iterations == 1
     assert not short.converged
     assert "converged" not in short.to_dict()
@@ -296,8 +303,9 @@ def _assert_global_matches_cold_reference(data, k_max, config):
 def test_global_bit_identical_to_cold_reference(seed, d, kind, n_candidates, tol, max_iters):
     # every candidate's warm first assignment must be the cold one's bits
     points, init = _lloyd_case(seed, d, kind)
-    config = KMeansConfig(max_iters=max_iters, tol=tol, rng_seed=seed, n_candidates=n_candidates)
-    _assert_global_matches_cold_reference(Dataset(points), len(init), config)
+    config = KMeansConfig(rng_seed=seed, n_candidates=n_candidates)
+    with mock.patch.multiple(KMeansConfig, max_iters=max_iters, tol=tol):
+        _assert_global_matches_cold_reference(Dataset(points), len(init), config)
 
 
 @pytest.mark.parametrize("rng_seed", range(8))
@@ -509,8 +517,12 @@ def test_result_json_fields():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        KMeansConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        KMeansConfig(tol=-1.0)
-    with pytest.raises(ValueError):
         KMeansConfig(n_candidates=0)
+
+
+def test_stopping_rule_is_constant():
+    # no caller varies Lloyd's stopping rule, so it is not a setting
+    assert [f.name for f in dataclasses.fields(KMeansConfig)] == ["rng_seed", "n_candidates"]
+    assert KMeansConfig().max_iters == 300 and KMeansConfig().tol == 1e-6
+    with pytest.raises(TypeError):
+        KMeansConfig(max_iters=5)

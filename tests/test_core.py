@@ -251,6 +251,19 @@ def test_results_do_not_depend_on_the_callers_ufunc_buffer(seed):
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+def test_report_reads_the_core_count_once(monkeypatch):
+    reads = []
+
+    def counting():
+        reads.append(1)
+        return 2
+
+    monkeypatch.setattr(os, "cpu_count", counting)
+    data = Dataset(np.random.default_rng(3).normal(size=(40, 2)))
+    silhouette.full_report(data, Labeling(np.arange(40) % 2, 2), threads=2)
+    assert len(reads) == 1
+
+
 def test_threads_above_the_cores_run_on_the_cores(monkeypatch):
     # threads=10**6 asks for no more workers than there are cores, in blocks
     # as tall as at threads=cores; the stand-in pool runs its tasks inline,
